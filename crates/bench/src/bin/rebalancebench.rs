@@ -33,9 +33,9 @@
 //! `results/BENCH_rebalance.json`).
 
 use bytes::Bytes;
+use kbroker::group::assign_sticky;
 use kbroker::{Cluster, Producer, ProducerConfig, TopicConfig};
 use kobs::json::{num, obj, str as jstr, Value};
-use kstreams::assignment::{assign_tasks, assign_tasks_sticky};
 use kstreams::topology::TaskId;
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
@@ -90,19 +90,19 @@ fn scale_cell(n: usize, t: usize) -> ScaleRow {
     let tasks: Vec<TaskId> =
         (0..t).map(|p| TaskId { subtopology: 0, partition: p as u32 }).collect();
     let members: Vec<String> = (0..n).map(|i| format!("i{i:03}")).collect();
-    let base = assign_tasks(&tasks, &members);
+    let base = assign_sticky(&tasks, &members, &BTreeMap::new());
     check_balance(&base, t);
     let base_owners = owners(&base);
 
     // Rolling restart: same membership, same history — nothing may move.
-    let restart = assign_tasks_sticky(&tasks, &members, &base);
+    let restart = assign_sticky(&tasks, &members, &base);
     check_balance(&restart, t);
     let moved_restart = moved(&base_owners, &owners(&restart)).len();
 
     // Add one member: only the newcomer's fair share may move.
     let mut grown = members.clone();
     grown.push(format!("i{n:03}"));
-    let added = assign_tasks_sticky(&tasks, &grown, &base);
+    let added = assign_sticky(&tasks, &grown, &base);
     check_balance(&added, t);
     let moved_add = moved(&base_owners, &owners(&added)).len();
     let add_bound = t.div_ceil(n + 1);
@@ -111,7 +111,7 @@ fn scale_cell(n: usize, t: usize) -> ScaleRow {
     // survivor already owned may change hands.
     let removed_member = members[n / 2].clone();
     let shrunk: Vec<String> = members.iter().filter(|m| **m != removed_member).cloned().collect();
-    let removed = assign_tasks_sticky(&tasks, &shrunk, &base);
+    let removed = assign_sticky(&tasks, &shrunk, &base);
     check_balance(&removed, t);
     let removed_owners = owners(&removed);
     let orphans = base[&removed_member].len();
@@ -125,7 +125,7 @@ fn scale_cell(n: usize, t: usize) -> ScaleRow {
     let reps = if t >= 1000 { 20 } else { 100 };
     let start = Instant::now();
     for _ in 0..reps {
-        let a = assign_tasks_sticky(&tasks, &members, &base);
+        let a = assign_sticky(&tasks, &members, &base);
         std::hint::black_box(&a);
     }
     let assign_us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;

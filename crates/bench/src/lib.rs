@@ -27,8 +27,9 @@
 //!   is the reproduction target.
 
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
+use kobs::LatencyHistogram;
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
-use simkit::{Clock, LatencyHistogram, ManualClock};
+use simkit::{Clock, ManualClock};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 

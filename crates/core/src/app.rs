@@ -20,9 +20,7 @@
 //! [`StreamsError::Fenced`] / `IllegalGeneration` error and must stop,
 //! never corrupting committed results (§2.1, §4.2.1).
 
-use crate::assignment::{
-    decode_group_metadata, encode_member_metadata, plan_assignment, AssignmentPlan,
-};
+use crate::assignment::{encode_member_metadata, plan_assignment, AssignmentPlan};
 use crate::config::{ProcessingGuarantee, StreamsConfig};
 use crate::error::StreamsError;
 use crate::metrics::StreamsMetrics;
@@ -232,19 +230,6 @@ impl KafkaStreamsApp {
         ids
     }
 
-    fn subscribed_topics(&self) -> Vec<String> {
-        let mut topics = Vec::new();
-        for st in &self.topology.subtopologies {
-            for t in &st.source_topics {
-                let physical = t.resolve(self.app_id());
-                if !topics.contains(&physical) {
-                    topics.push(physical);
-                }
-            }
-        }
-        topics
-    }
-
     /// Join the group, create internal topics, build and restore assigned
     /// tasks, and (in exactly-once mode) register the transactional
     /// producer — fencing any previous incarnation of this instance
@@ -274,12 +259,10 @@ impl KafkaStreamsApp {
                 .group_set_rebalance_debounce_ms(self.app_id(), self.config.rebalance_debounce_ms);
         }
         self.plan_partitions()?;
-        let view = self.cluster.group_join_with_metadata(
-            self.app_id(),
-            &self.instance_id,
-            &self.subscribed_topics(),
-            &[],
-        )?;
+        // Join for membership only: no topic subscription, so the
+        // coordinator assigns no partitions; every instance plans its tasks
+        // from the frozen view.
+        let view = self.cluster.group_join(self.app_id(), &self.instance_id, &[])?;
         self.generation = view.generation;
         let plan = self.compute_plan(&view)?;
         self.apply_assignment(&plan)?;
@@ -293,14 +276,7 @@ impl KafkaStreamsApp {
     fn compute_plan(&self, view: &GroupView) -> Result<AssignmentPlan, StreamsError> {
         let counts = self.plan_partitions()?;
         let all = Self::all_task_ids(&counts);
-        let (previous, warm) = decode_group_metadata(&view.member_metadata);
-        Ok(plan_assignment(
-            &all,
-            &view.members,
-            &previous,
-            &warm,
-            self.config.cooperative_rebalancing,
-        ))
+        Ok(plan_assignment(&all, &view.members, self.config.cooperative_rebalancing))
     }
 
     /// Adopt this instance's share of the plan: active tasks, warm-up

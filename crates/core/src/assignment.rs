@@ -5,14 +5,14 @@
 //! metadata), so no leader election is needed: the computation is a pure
 //! function of inputs every member sees identically.
 //!
-//! The assignor is genuinely **sticky and balance-bounded**: a task stays
-//! with its previous owner unless workload balance (task counts within ±1
-//! across members) forces a move, so a single-member membership delta moves
-//! at most `ceil(tasks / new_member_count)` tasks ("workload balance among
-//! instances and task stickiness", §3.3). Historically this function was
-//! positional round-robin (`i % members.len()`), which reshuffled nearly
-//! every task on any membership change — the bug this module's tests pin
-//! against regressing.
+//! The target assignment comes from [`kbroker::group::assign_sticky`], the
+//! workspace's one assignor (the group coordinator runs the same algorithm
+//! per topic for plain consumers; for a streams group it only tracks
+//! membership). It is **sticky and balance-bounded**: a task stays with its
+//! previous owner unless workload balance (task counts within ±1 across
+//! members) forces a move, so a single-member membership delta moves at
+//! most `ceil(tasks / new_member_count)` tasks ("workload balance among
+//! instances and task stickiness", §3.3).
 //!
 //! [`plan_assignment`] layers **cooperative incremental rebalancing** on
 //! top: when the sticky target moves a task between two live members, the
@@ -23,105 +23,8 @@
 //! the changelog suffix.
 
 use crate::topology::TaskId;
+use kbroker::group::assign_sticky;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Assign `tasks` to `members` with no ownership history: every task is an
-/// orphan placed on the least-loaded member. Equivalent to
-/// [`assign_tasks_sticky`] with an empty `previous` map.
-///
-/// Both inputs are sorted internally, so all instances agree.
-pub fn assign_tasks(tasks: &[TaskId], members: &[String]) -> BTreeMap<String, Vec<TaskId>> {
-    assign_tasks_sticky(tasks, members, &BTreeMap::new())
-}
-
-/// Sticky, balance-bounded assignment: member → tasks.
-///
-/// Three deterministic phases:
-/// 1. **Keep**: every surviving member retains its previously owned tasks
-///    (first claimant in sorted member order wins a conflicting claim),
-///    capped at `ceil(tasks / members)` — the excess is shed largest-id
-///    first.
-/// 2. **Place**: orphaned tasks (sorted) go to the least-loaded member,
-///    member id breaking ties.
-/// 3. **Balance**: while the load spread exceeds 1, move one task from the
-///    most- to the least-loaded member, preferring tasks that phase 2
-///    placed (they were moving anyway) over previously owned ones.
-///
-/// The result is balanced within ±1, disjoint, complete, and identical for
-/// every instance computing it from the same inputs.
-pub fn assign_tasks_sticky(
-    tasks: &[TaskId],
-    members: &[String],
-    previous: &BTreeMap<String, Vec<TaskId>>,
-) -> BTreeMap<String, Vec<TaskId>> {
-    let mut ms: Vec<&String> = members.iter().collect();
-    ms.sort();
-    ms.dedup();
-    if ms.is_empty() {
-        return BTreeMap::new();
-    }
-    let mut ts: Vec<TaskId> = tasks.to_vec();
-    ts.sort();
-    ts.dedup();
-    let task_set: BTreeSet<TaskId> = ts.iter().copied().collect();
-    let cap = ts.len().div_ceil(ms.len());
-    let mut claimed: BTreeSet<TaskId> = BTreeSet::new();
-    // Phase 1: keep surviving previous ownership, capped at `cap`.
-    let mut kept: BTreeMap<&str, Vec<TaskId>> = BTreeMap::new();
-    for m in &ms {
-        let mut keep: Vec<TaskId> = previous
-            .get(m.as_str())
-            .map(|owned| {
-                owned
-                    .iter()
-                    .copied()
-                    .filter(|t| task_set.contains(t) && !claimed.contains(t))
-                    .collect()
-            })
-            .unwrap_or_default();
-        keep.sort();
-        keep.dedup();
-        keep.truncate(cap);
-        claimed.extend(keep.iter().copied());
-        kept.insert(m.as_str(), keep);
-    }
-    // Phase 2: orphans to the least-loaded member (id breaks ties).
-    let mut placed: BTreeMap<&str, Vec<TaskId>> =
-        ms.iter().map(|m| (m.as_str(), Vec::new())).collect();
-    for t in ts.iter().filter(|t| !claimed.contains(t)) {
-        let target = ms
-            .iter()
-            .min_by_key(|m| (kept[m.as_str()].len() + placed[m.as_str()].len(), m.as_str()))
-            .expect("non-empty members");
-        placed.get_mut(target.as_str()).expect("initialized").push(*t);
-    }
-    // Phase 3: stickiness yields to balance — shrink the spread to ≤ 1.
-    loop {
-        let load = |m: &str| kept[m].len() + placed[m].len();
-        let max_m = *ms.iter().max_by_key(|m| (load(m), m.as_str())).expect("non-empty");
-        let min_m = *ms.iter().min_by_key(|m| (load(m), m.as_str())).expect("non-empty");
-        if load(max_m) <= load(min_m) + 1 {
-            break;
-        }
-        // Prefer moving a task phase 2 placed here (it had no sticky home);
-        // otherwise shed the largest-id previously owned task.
-        let moved = placed
-            .get_mut(max_m.as_str())
-            .expect("initialized")
-            .pop()
-            .or_else(|| kept.get_mut(max_m.as_str()).expect("initialized").pop())
-            .expect("max-loaded member has tasks");
-        placed.get_mut(min_m.as_str()).expect("initialized").push(moved);
-    }
-    ms.iter()
-        .map(|m| {
-            let mut owned = kept[m.as_str()].clone();
-            owned.extend(placed[m.as_str()].iter().copied());
-            owned.sort();
-            ((*m).clone(), owned)
-        })
-        .collect()
-}
 
 /// The outcome of one generation's assignment computation: which tasks each
 /// member runs *now*, which it should warm up for a deferred transfer, and
@@ -146,11 +49,10 @@ pub struct AssignmentPlan {
 
 /// Compute the cooperative assignment plan for one generation.
 ///
-/// `previous` is each member's reported task ownership and `warm` each
-/// member's reported warm (replay lag ≤ threshold) tasks, both decoded from
-/// the frozen group-view metadata — so every member computes the identical
-/// plan. With `cooperative` false (eager mode), the sticky target applies
-/// immediately and `warmups` is empty.
+/// `members` is the frozen group view: member → metadata (see
+/// [`encode_member_metadata`]), from which each member's reported task
+/// ownership and warm (replay lag ≤ threshold) tasks are decoded — so every
+/// member computes the identical plan.
 ///
 /// A task whose sticky target differs from its (live) previous owner never
 /// transfers outright: it stays active at the previous owner while the
@@ -163,18 +65,13 @@ pub struct AssignmentPlan {
 /// sticky target applies immediately and `warmups`/`releases` are empty.
 pub fn plan_assignment(
     tasks: &[TaskId],
-    members: &[String],
-    previous: &BTreeMap<String, Vec<TaskId>>,
-    warm: &BTreeMap<String, BTreeSet<TaskId>>,
+    members: &BTreeMap<String, Vec<String>>,
     cooperative: bool,
 ) -> AssignmentPlan {
-    let member_set: BTreeSet<&str> = members.iter().map(String::as_str).collect();
+    let (previous, warm) = decode_group_metadata(members);
     // First claimant in sorted member order wins a (transient) double claim.
     let mut prev_owner: BTreeMap<TaskId, &str> = BTreeMap::new();
-    for (m, owned) in previous {
-        if !member_set.contains(m.as_str()) {
-            continue;
-        }
+    for (m, owned) in &previous {
         for t in owned {
             prev_owner.entry(*t).or_insert(m.as_str());
         }
@@ -183,23 +80,16 @@ pub fn plan_assignment(
     // this is both the release handover (the old owner just dropped its
     // claim in favour of the warm destination) and the standby-promotion
     // preference (an orphan goes to a member that already has the state).
-    let mut claims: BTreeMap<String, Vec<TaskId>> = BTreeMap::new();
-    for (m, owned) in previous {
-        if member_set.contains(m.as_str()) {
-            claims.entry(m.clone()).or_default().extend(owned.iter().copied());
-        }
-    }
-    for (m, warm_tasks) in warm {
-        if !member_set.contains(m.as_str()) {
-            continue;
-        }
+    let mut claims = previous.clone();
+    for (m, warm_tasks) in &warm {
         for t in warm_tasks {
             if !prev_owner.contains_key(t) {
                 claims.entry(m.clone()).or_default().push(*t);
             }
         }
     }
-    let target = assign_tasks_sticky(tasks, members, &claims);
+    let member_ids: Vec<String> = members.keys().cloned().collect();
+    let target = assign_sticky(tasks, &member_ids, &claims);
     let mut plan = AssignmentPlan {
         active: target.keys().map(|m| (m.clone(), Vec::new())).collect(),
         warmups: BTreeMap::new(),
@@ -252,7 +142,7 @@ fn parse_task(s: &str) -> Option<TaskId> {
 /// Decode a whole group's frozen metadata into the assignor's inputs:
 /// member → previously owned tasks, and member → warm tasks. Unknown
 /// entries are ignored (forward compatibility).
-pub fn decode_group_metadata(
+fn decode_group_metadata(
     metadata: &BTreeMap<String, Vec<String>>,
 ) -> (BTreeMap<String, Vec<TaskId>>, BTreeMap<String, BTreeSet<TaskId>>) {
     let mut previous: BTreeMap<String, Vec<TaskId>> = BTreeMap::new();
@@ -304,14 +194,14 @@ mod tests {
     #[test]
     fn single_member_gets_all() {
         let tasks = vec![tid(0, 0), tid(0, 1), tid(1, 0)];
-        let a = assign_tasks(&tasks, &["m1".into()]);
+        let a = assign_sticky(&tasks, &["m1".into()], &BTreeMap::new());
         assert_eq!(a["m1"].len(), 3);
     }
 
     #[test]
     fn balanced_within_one() {
         let tasks: Vec<TaskId> = (0..7).map(|p| tid(0, p)).collect();
-        let a = assign_tasks(&tasks, &["a".into(), "b".into(), "c".into()]);
+        let a = assign_sticky(&tasks, &["a".into(), "b".into(), "c".into()], &BTreeMap::new());
         let counts: Vec<usize> = a.values().map(Vec::len).collect();
         assert_eq!(counts.iter().sum::<usize>(), 7);
         assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1);
@@ -324,13 +214,16 @@ mod tests {
         rev.reverse();
         let m1 = vec!["b".to_string(), "a".to_string()];
         let m2 = vec!["a".to_string(), "b".to_string()];
-        assert_eq!(assign_tasks(&tasks, &m1), assign_tasks(&rev, &m2));
+        assert_eq!(
+            assign_sticky(&tasks, &m1, &BTreeMap::new()),
+            assign_sticky(&rev, &m2, &BTreeMap::new())
+        );
     }
 
     #[test]
     fn disjoint_and_complete() {
         let tasks: Vec<TaskId> = (0..10).map(|p| tid(0, p)).collect();
-        let a = assign_tasks(&tasks, &["x".into(), "y".into(), "z".into()]);
+        let a = assign_sticky(&tasks, &["x".into(), "y".into(), "z".into()], &BTreeMap::new());
         let mut all: Vec<TaskId> = a.values().flatten().copied().collect();
         all.sort();
         assert_eq!(all, tasks);
@@ -338,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_members_yields_empty_map() {
-        let a = assign_tasks(&[tid(0, 0)], &[]);
+        let a = assign_sticky(&[tid(0, 0)], &[], &BTreeMap::new());
         assert!(a.is_empty());
     }
 
@@ -346,8 +239,8 @@ mod tests {
     fn stable_when_membership_unchanged() {
         let tasks: Vec<TaskId> = (0..6).map(|p| tid(0, p)).collect();
         let members = vec!["a".to_string(), "b".to_string()];
-        let first = assign_tasks(&tasks, &members);
-        let again = assign_tasks_sticky(&tasks, &members, &first);
+        let first = assign_sticky(&tasks, &members, &BTreeMap::new());
+        let again = assign_sticky(&tasks, &members, &first);
         assert_eq!(first, again, "fixpoint: unchanged membership moves nothing");
     }
 
@@ -360,12 +253,12 @@ mod tests {
             for n_members in [1usize, 2, 3, 5, 8] {
                 let tasks: Vec<TaskId> = (0..n_tasks as u32).map(|p| tid(0, p)).collect();
                 let members = names(n_members);
-                let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
+                let before = assign_sticky(&tasks, &members, &BTreeMap::new());
 
                 // Add one member.
                 let mut grown = members.clone();
                 grown.push(format!("m{n_members:03}"));
-                let after = assign_tasks_sticky(&tasks, &grown, &before);
+                let after = assign_sticky(&tasks, &grown, &before);
                 let bound = n_tasks.div_ceil(grown.len());
                 assert!(
                     moved(&before, &after) <= bound,
@@ -377,7 +270,7 @@ mod tests {
                 // Remove one member.
                 if n_members > 1 {
                     let shrunk = members[..n_members - 1].to_vec();
-                    let after = assign_tasks_sticky(&tasks, &shrunk, &before);
+                    let after = assign_sticky(&tasks, &shrunk, &before);
                     let bound = n_tasks.div_ceil(shrunk.len());
                     assert!(
                         moved(&before, &after) <= bound,
@@ -394,9 +287,9 @@ mod tests {
     fn survivors_keep_their_tasks_on_member_leave() {
         let tasks: Vec<TaskId> = (0..9).map(|p| tid(0, p)).collect();
         let members = names(3);
-        let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
+        let before = assign_sticky(&tasks, &members, &BTreeMap::new());
         let shrunk = members[..2].to_vec();
-        let after = assign_tasks_sticky(&tasks, &shrunk, &before);
+        let after = assign_sticky(&tasks, &shrunk, &before);
         for m in &shrunk {
             for t in &before[m] {
                 assert!(after[m].contains(t), "{m} lost {t} it already owned");
@@ -404,14 +297,19 @@ mod tests {
         }
     }
 
+    /// The frozen group view for `(member, owned, warm)` entries.
+    fn view(entries: &[(&str, &[TaskId], &[TaskId])]) -> BTreeMap<String, Vec<String>> {
+        entries
+            .iter()
+            .map(|(m, owned, warm)| (m.to_string(), encode_member_metadata(owned, warm)))
+            .collect()
+    }
+
     #[test]
     fn cooperative_plan_defers_moves_until_warm() {
         let tasks: Vec<TaskId> = (0..4).map(|p| tid(0, p)).collect();
-        let members = vec!["a".to_string(), "b".to_string()];
-        let previous: BTreeMap<String, Vec<TaskId>> =
-            [("a".to_string(), tasks.clone()), ("b".to_string(), Vec::new())].into();
         // b is cold: the moved tasks stay active at a, b warms them.
-        let cold = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), true);
+        let cold = plan_assignment(&tasks, &view(&[("a", &tasks, &[]), ("b", &[], &[])]), true);
         assert_eq!(cold.active["a"].len(), 4, "previous owner keeps processing");
         assert!(cold.active["b"].is_empty());
         assert_eq!(cold.warmups["b"].len(), 2, "destination warms the sticky target");
@@ -419,26 +317,19 @@ mod tests {
         // b reports those tasks warm: the owner is told to release them at
         // its next commit boundary (the tasks stay active at a for now —
         // a move is never forced onto the owner's in-flight work).
-        let warm: BTreeMap<String, BTreeSet<TaskId>> =
-            [("b".to_string(), cold.warmups["b"].iter().copied().collect())].into();
-        let hot = plan_assignment(&tasks, &members, &previous, &warm, true);
+        let warm = cold.warmups["b"].clone();
+        let hot = plan_assignment(&tasks, &view(&[("a", &tasks, &[]), ("b", &[], &warm)]), true);
         assert_eq!(hot.active["a"].len(), 4, "owner keeps the tasks until it releases");
         assert!(hot.active["b"].is_empty());
-        assert_eq!(hot.releases["a"], cold.warmups["b"], "owner releases what b warmed");
-        assert_eq!(hot.warmups["b"], cold.warmups["b"], "b keeps warming until handover");
+        assert_eq!(hot.releases["a"], warm, "owner releases what b warmed");
+        assert_eq!(hot.warmups["b"], warm, "b keeps warming until handover");
         // The owner committed and dropped its claim on the released tasks:
         // the handover generation places them on the warm claimant.
-        let released: BTreeMap<String, Vec<TaskId>> = [
-            (
-                "a".to_string(),
-                previous["a"].iter().filter(|t| !hot.releases["a"].contains(t)).copied().collect(),
-            ),
-            ("b".to_string(), Vec::new()),
-        ]
-        .into();
-        let done = plan_assignment(&tasks, &members, &released, &warm, true);
+        let kept: Vec<TaskId> =
+            tasks.iter().filter(|t| !hot.releases["a"].contains(t)).copied().collect();
+        let done = plan_assignment(&tasks, &view(&[("a", &kept, &[]), ("b", &[], &warm)]), true);
         assert_eq!(done.active["a"].len(), 2);
-        assert_eq!(done.active["b"], cold.warmups["b"], "b receives exactly what it warmed");
+        assert_eq!(done.active["b"], warm, "b receives exactly what it warmed");
         assert!(done.warmups.is_empty());
         assert!(done.releases.is_empty());
     }
@@ -446,9 +337,7 @@ mod tests {
     #[test]
     fn eager_plan_moves_immediately() {
         let tasks: Vec<TaskId> = (0..4).map(|p| tid(0, p)).collect();
-        let members = vec!["a".to_string(), "b".to_string()];
-        let previous: BTreeMap<String, Vec<TaskId>> = [("a".to_string(), tasks.clone())].into();
-        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), false);
+        let plan = plan_assignment(&tasks, &view(&[("a", &tasks, &[]), ("b", &[], &[])]), false);
         assert_eq!(plan.active["a"].len(), 2);
         assert_eq!(plan.active["b"].len(), 2);
         assert!(plan.warmups.is_empty());
@@ -456,10 +345,9 @@ mod tests {
 
     #[test]
     fn departed_owner_transfers_without_warmup() {
+        // a owned every task and left: its claims are gone with it.
         let tasks: Vec<TaskId> = (0..4).map(|p| tid(0, p)).collect();
-        let members = vec!["b".to_string()];
-        let previous: BTreeMap<String, Vec<TaskId>> = [("a".to_string(), tasks.clone())].into();
-        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), true);
+        let plan = plan_assignment(&tasks, &view(&[("b", &[], &[])]), true);
         assert_eq!(plan.active["b"].len(), 4, "no live previous owner: immediate adoption");
         assert!(plan.warmups.is_empty());
     }
@@ -469,13 +357,9 @@ mod tests {
         // Transient metadata overlap (a transfer raced a snapshot): both
         // members report owning task 0. The plan must route it exactly once.
         let tasks: Vec<TaskId> = (0..3).map(|p| tid(0, p)).collect();
-        let members = vec!["a".to_string(), "b".to_string()];
-        let previous: BTreeMap<String, Vec<TaskId>> = [
-            ("a".to_string(), vec![tid(0, 0), tid(0, 1)]),
-            ("b".to_string(), vec![tid(0, 0), tid(0, 2)]),
-        ]
-        .into();
-        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), true);
+        let members =
+            view(&[("a", &[tid(0, 0), tid(0, 1)], &[]), ("b", &[tid(0, 0), tid(0, 2)], &[])]);
+        let plan = plan_assignment(&tasks, &members, true);
         let mut all: Vec<TaskId> = plan.active.values().flatten().copied().collect();
         all.sort();
         assert_eq!(all, tasks, "each task active exactly once");
@@ -505,7 +389,7 @@ mod tests {
         ) {
             let tasks: Vec<TaskId> = (0..n_tasks as u32).map(|p| tid(0, p)).collect();
             let members = names(n_members);
-            let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
+            let before = assign_sticky(&tasks, &members, &BTreeMap::new());
             let new_members = if add {
                 let mut m = members.clone();
                 m.push(format!("m{n_members:03}"));
@@ -519,7 +403,7 @@ mod tests {
             } else {
                 members.clone()
             };
-            let after = assign_tasks_sticky(&tasks, &new_members, &before);
+            let after = assign_sticky(&tasks, &new_members, &before);
 
             // Minimal movement.
             let bound = n_tasks.div_ceil(new_members.len());
@@ -542,7 +426,7 @@ mod tests {
             rev_tasks.reverse();
             let mut rev_members = new_members.clone();
             rev_members.reverse();
-            let again = assign_tasks_sticky(&rev_tasks, &rev_members, &before);
+            let again = assign_sticky(&rev_tasks, &rev_members, &before);
             prop_assert_eq!(&after, &again);
         }
     }

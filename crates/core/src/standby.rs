@@ -173,7 +173,7 @@ mod tests {
     }
 
     fn actives_for(tasks: &[TaskId], members: &[String]) -> BTreeMap<String, Vec<TaskId>> {
-        crate::assignment::assign_tasks(tasks, members)
+        kbroker::group::assign_sticky(tasks, members, &BTreeMap::new())
     }
 
     #[test]

@@ -40,31 +40,15 @@ struct MemberInfo {
     metadata: Vec<String>,
 }
 
-/// Partition assignment strategy for a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AssignmentStrategy {
-    /// Contiguous per-topic chunks in member order.
-    #[default]
-    Range,
-    /// Keep existing member→partition pairs where possible; only orphaned
-    /// partitions move, to the least-loaded members (minimizes state
-    /// migration for plain consumers, the same goal as §3.3's task
-    /// stickiness).
-    Sticky,
-}
-
 #[derive(Debug, Default)]
 struct GroupState {
     generation: i32,
     members: BTreeMap<String, MemberInfo>,
-    assignment: HashMap<String, Vec<TopicPartition>>,
-    strategy: AssignmentStrategy,
-    /// Member ids frozen at the last generation bump. Views expose this
-    /// snapshot (not the live set), so every member of generation G
-    /// computes its assignment from identical inputs even while later
-    /// joins are being debounced.
-    frozen_members: Vec<String>,
-    /// Member metadata frozen alongside `frozen_members`.
+    assignment: BTreeMap<String, Vec<TopicPartition>>,
+    /// Members and their metadata frozen at the last generation bump.
+    /// Views expose this snapshot (not the live set), so every member of
+    /// generation G computes its assignment from identical inputs even
+    /// while later joins are being debounced.
     frozen_metadata: BTreeMap<String, Vec<String>>,
     /// Coalescing window for join/request-triggered rebalances (0 = bump
     /// immediately, the historical behavior). Leaves and expirations always
@@ -79,14 +63,14 @@ struct GroupState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupView {
     pub generation: i32,
-    /// Member ids frozen at this generation's rebalance, sorted
-    /// (streams-layer assignors use this).
-    pub members: Vec<String>,
-    /// Each frozen member's metadata at the rebalance instant — the shared
-    /// input from which streams-layer assignors recover previous task
-    /// ownership and warm-up readiness.
-    pub member_metadata: BTreeMap<String, Vec<String>>,
-    /// Partitions assigned to *this* member.
+    /// Members frozen at this generation's rebalance, each with its
+    /// metadata at the rebalance instant — the shared input from which
+    /// streams-layer assignors recover previous task ownership and warm-up
+    /// readiness.
+    pub members: BTreeMap<String, Vec<String>>,
+    /// Partitions assigned to *this* member: empty for members that
+    /// subscribe to no topics (streams instances, which assign tasks
+    /// themselves from `members`).
     pub assignment: Vec<TopicPartition>,
 }
 
@@ -151,106 +135,93 @@ fn decode_offset_key(key: &[u8]) -> Option<(String, TopicPartition)> {
     Some((group, TopicPartition::new(topic, partition)))
 }
 
-/// Sticky assignment: start from the previous assignment, drop entries for
-/// departed members and unsubscribed topics, then hand every unassigned
-/// partition to the least-loaded subscribed member.
-fn sticky_assign(
-    previous: &HashMap<String, Vec<TopicPartition>>,
-    members: &BTreeMap<String, MemberInfo>,
-    topics: &BTreeSet<String>,
-    partition_count: impl Fn(&str) -> Option<u32>,
-) -> HashMap<String, Vec<TopicPartition>> {
-    let mut assignment: HashMap<String, Vec<TopicPartition>> =
-        members.keys().map(|m| (m.clone(), Vec::new())).collect();
-    let mut taken: BTreeSet<TopicPartition> = BTreeSet::new();
-    // Phase 1: keep what survives.
-    // Prior assignments are disjoint per partition, so visit order cannot
-    // change which member keeps a partition.
-    // detlint:allow[unordered-iter] disjoint per partition; order-insensitive
-    for (member, parts) in previous {
-        let Some(info) = members.get(member) else { continue };
-        for tp in parts {
-            if info.subscribed.contains(&tp.topic) && !taken.contains(tp) {
-                assignment.get_mut(member).expect("initialized").push(tp.clone());
-                taken.insert(tp.clone());
-            }
-        }
+/// Sticky, balance-bounded assignment of `items` to `members`, starting
+/// from each member's `previous` items. The one assignment algorithm: the
+/// coordinator runs it per topic over partitions for plain consumers, and
+/// streams instances run it over tasks (§3.3: "workload balance among
+/// instances and task stickiness").
+///
+/// Three deterministic phases:
+/// 1. **Keep**: every member retains its previously owned items (first
+///    claimant in sorted member order wins a conflicting claim), capped at
+///    `ceil(items / members)` — the excess is shed largest first. Entries
+///    for non-members and unknown items are ignored.
+/// 2. **Place**: orphaned items (sorted) go to the least-loaded member,
+///    member id breaking ties.
+/// 3. **Balance**: while the load spread exceeds 1, move one item from the
+///    most- to the least-loaded member, preferring items that phase 2
+///    placed (they were moving anyway) over previously owned ones.
+///
+/// The result is balanced within ±1, disjoint, complete, and identical for
+/// every caller with the same inputs, in any order. A one-member delta
+/// from a converged assignment moves at most `ceil(items / new_members)`.
+pub fn assign_sticky<T: Ord + Clone>(
+    items: &[T],
+    members: &[String],
+    previous: &BTreeMap<String, Vec<T>>,
+) -> BTreeMap<String, Vec<T>> {
+    let mut ms: Vec<&str> = members.iter().map(String::as_str).collect();
+    ms.sort();
+    ms.dedup();
+    if ms.is_empty() {
+        return BTreeMap::new();
     }
-    // Phase 2: place orphans on the least-loaded subscribed member
-    // (member-id order breaks ties, so the result is deterministic).
-    for topic in topics {
-        let Some(nparts) = partition_count(topic) else { continue };
-        for p in 0..nparts {
-            let tp = TopicPartition::new(topic.as_str(), p);
-            if taken.contains(&tp) {
-                continue;
-            }
-            let target = members
-                .iter()
-                .filter(|(_, i)| i.subscribed.contains(topic))
-                .map(|(m, _)| m)
-                .min_by_key(|m| (assignment[m.as_str()].len(), m.as_str()))
-                .cloned();
-            if let Some(member) = target {
-                assignment.get_mut(&member).expect("initialized").push(tp.clone());
-                taken.insert(tp);
-            }
-        }
+    let item_set: BTreeSet<&T> = items.iter().collect();
+    let cap = item_set.len().div_ceil(ms.len());
+    let mut claimed: BTreeSet<&T> = BTreeSet::new();
+    // Phase 1: keep surviving previous ownership, capped at `cap`.
+    let mut kept: BTreeMap<&str, Vec<&T>> = BTreeMap::new();
+    for &m in &ms {
+        let mut keep: Vec<&T> = previous
+            .get(m)
+            .map(|owned| {
+                owned
+                    .iter()
+                    .filter_map(|t| item_set.get(t).copied())
+                    .filter(|t| !claimed.contains(t))
+                    .collect()
+            })
+            .unwrap_or_default();
+        keep.sort();
+        keep.dedup();
+        keep.truncate(cap);
+        claimed.extend(keep.iter().copied());
+        kept.insert(m, keep);
     }
-    // Rebalance gross imbalance: move partitions from the most- to the
-    // least-loaded member until within one (stickiness yields to balance,
-    // same priority order Kafka's sticky assignor uses).
-    while let Some((max_m, max_n)) = assignment
-        .iter()
-        .max_by_key(|(m, v)| (v.len(), m.as_str()))
-        .map(|(m, v)| (m.clone(), v.len()))
-    {
-        let (min_m, min_n) = assignment
+    // Phase 2: orphans to the least-loaded member (id breaks ties).
+    let mut placed: BTreeMap<&str, Vec<&T>> = ms.iter().map(|&m| (m, Vec::new())).collect();
+    for &t in item_set.iter().filter(|t| !claimed.contains(*t)) {
+        let target = *ms
             .iter()
-            .min_by_key(|(m, v)| (v.len(), m.as_str()))
-            .map(|(m, v)| (m.clone(), v.len()))
-            .expect("non-empty: a max exists");
-        if max_n <= min_n + 1 {
+            .min_by_key(|&&m| (kept[m].len() + placed[m].len(), m))
+            .expect("non-empty members");
+        placed.get_mut(target).expect("initialized").push(t);
+    }
+    // Phase 3: stickiness yields to balance — shrink the spread to ≤ 1.
+    loop {
+        let load = |m: &str| kept[m].len() + placed[m].len();
+        let max_m = *ms.iter().max_by_key(|&&m| (load(m), m)).expect("non-empty");
+        let min_m = *ms.iter().min_by_key(|&&m| (load(m), m)).expect("non-empty");
+        if load(max_m) <= load(min_m) + 1 {
             break;
         }
-        let moved = assignment.get_mut(&max_m).expect("present").pop().expect("non-empty");
-        assignment.get_mut(&min_m).expect("present").push(moved);
+        // Prefer moving an item phase 2 placed here (it had no sticky
+        // home); otherwise shed the largest previously owned item.
+        let moved = placed
+            .get_mut(max_m)
+            .expect("initialized")
+            .pop()
+            .or_else(|| kept.get_mut(max_m).expect("initialized").pop())
+            .expect("max-loaded member has items");
+        placed.get_mut(min_m).expect("initialized").push(moved);
     }
-    assignment
-}
-
-/// Range assignment: per topic, contiguous partition chunks to subscribed
-/// members in member-id order.
-fn range_assign(
-    members: &BTreeMap<String, MemberInfo>,
-    topics: &BTreeSet<String>,
-    partition_count: impl Fn(&str) -> Option<u32>,
-) -> HashMap<String, Vec<TopicPartition>> {
-    let mut assignment: HashMap<String, Vec<TopicPartition>> =
-        members.keys().map(|m| (m.clone(), Vec::new())).collect();
-    for topic in topics {
-        let Some(nparts) = partition_count(topic) else { continue };
-        let subscribed: Vec<&String> =
-            members.iter().filter(|(_, i)| i.subscribed.contains(topic)).map(|(m, _)| m).collect();
-        if subscribed.is_empty() {
-            continue;
-        }
-        let n = subscribed.len() as u32;
-        let per = nparts / n;
-        let extra = nparts % n;
-        let mut next = 0u32;
-        for (i, member) in subscribed.iter().enumerate() {
-            let take = per + if (i as u32) < extra { 1 } else { 0 };
-            for p in next..next + take {
-                assignment
-                    .get_mut(*member)
-                    .expect("initialized above")
-                    .push(TopicPartition::new(topic.as_str(), p));
-            }
-            next += take;
-        }
-    }
-    assignment
+    ms.iter()
+        .map(|&m| {
+            let mut owned: Vec<T> = kept[m].iter().chain(&placed[m]).map(|&t| t.clone()).collect();
+            owned.sort();
+            (m.to_string(), owned)
+        })
+        .collect()
 }
 
 impl Cluster {
@@ -261,7 +232,6 @@ impl Cluster {
         // member's view of generation G carries this exact snapshot, so
         // leaderless assignors compute from identical inputs even while
         // later joins are still being debounced.
-        state.frozen_members = state.members.keys().cloned().collect();
         state.frozen_metadata =
             state.members.iter().map(|(m, i)| (m.clone(), i.metadata.clone())).collect();
         kobs::count("kbroker.group.rebalances", 1);
@@ -272,18 +242,34 @@ impl Cluster {
             generation = state.generation,
             members = state.members.len(),
         );
-        let topics: BTreeSet<String> =
-            state.members.values().flat_map(|m| m.subscribed.iter().cloned()).collect();
-        state.assignment = match state.strategy {
-            AssignmentStrategy::Range => {
-                range_assign(&state.members, &topics, |t| self.partition_count(t).ok())
-            }
-            AssignmentStrategy::Sticky => {
-                sticky_assign(&state.assignment, &state.members, &topics, |t| {
-                    self.partition_count(t).ok()
+        // Per topic, the sticky assignor over that topic's subscribers,
+        // starting from their previous partitions of it. Streams groups
+        // subscribe to nothing, so the coordinator only tracks membership.
+        let topics: BTreeSet<&String> =
+            state.members.values().flat_map(|m| &m.subscribed).collect();
+        let mut assignment: BTreeMap<String, Vec<TopicPartition>> = BTreeMap::new();
+        for topic in topics {
+            let Ok(nparts) = self.partition_count(topic) else { continue };
+            let partitions: Vec<TopicPartition> =
+                (0..nparts).map(|p| TopicPartition::new(topic.as_str(), p)).collect();
+            let subscribers: Vec<String> = state
+                .members
+                .iter()
+                .filter(|(_, i)| i.subscribed.contains(topic))
+                .map(|(m, _)| m.clone())
+                .collect();
+            let previous: BTreeMap<String, Vec<TopicPartition>> = state
+                .assignment
+                .iter()
+                .map(|(m, tps)| {
+                    (m.clone(), tps.iter().filter(|tp| tp.topic == *topic).cloned().collect())
                 })
+                .collect();
+            for (m, tps) in assign_sticky(&partitions, &subscribers, &previous) {
+                assignment.entry(m).or_default().extend(tps);
             }
-        };
+        }
+        state.assignment = assignment;
     }
 
     /// Register a debounced rebalance trigger (join or member request):
@@ -315,17 +301,9 @@ impl Cluster {
     fn view_for(state: &GroupState, member: &str) -> GroupView {
         GroupView {
             generation: state.generation,
-            members: state.frozen_members.clone(),
-            member_metadata: state.frozen_metadata.clone(),
+            members: state.frozen_metadata.clone(),
             assignment: state.assignment.get(member).cloned().unwrap_or_default(),
         }
-    }
-
-    /// Set a group's assignment strategy (takes effect on the next
-    /// rebalance). Creates the group if it does not exist yet.
-    pub fn group_set_strategy(&self, group: &str, strategy: AssignmentStrategy) {
-        let mut groups = self.inner.groups.stripe(group).lock();
-        groups.entry(group.to_string()).or_default().strategy = strategy;
     }
 
     /// Force a rebalance of the group with its current membership: the
@@ -343,28 +321,17 @@ impl Cluster {
     }
 
     /// Join (or re-join) a group, triggering a rebalance (immediately, or
-    /// after the group's debounce window). Returns the member's view.
+    /// after the group's debounce window). The member starts with empty
+    /// metadata; publish it with [`Self::group_update_metadata`]. With a
+    /// debounce window configured, back-to-back joins coalesce into one
+    /// generation bump; the view returned to a still-pending joiner carries
+    /// the *previous* generation's frozen membership (which may not include
+    /// the joiner yet).
     pub fn group_join(
         &self,
         group: &str,
         member: &str,
         topics: &[String],
-    ) -> Result<GroupView, BrokerError> {
-        self.group_join_with_metadata(group, member, topics, &[])
-    }
-
-    /// [`Self::group_join`] carrying client metadata (streams assignors
-    /// encode previous task ownership here). With a debounce window
-    /// configured, back-to-back joins coalesce into one generation bump;
-    /// the view returned to a still-pending joiner carries the *previous*
-    /// generation's frozen membership (which may not include the joiner
-    /// yet).
-    pub fn group_join_with_metadata(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[String],
-        metadata: &[String],
     ) -> Result<GroupView, BrokerError> {
         let now = self.now_ms();
         let mut groups = self.inner.groups.stripe(group).lock();
@@ -374,7 +341,7 @@ impl Cluster {
             MemberInfo {
                 subscribed: topics.iter().cloned().collect(),
                 last_seen_ms: now,
-                metadata: metadata.to_vec(),
+                metadata: Vec::new(),
             },
         );
         self.trigger_rebalance(state, now);
@@ -650,7 +617,7 @@ mod tests {
         let v = c.group_join("g", "m1", &["t".to_string()]).unwrap();
         assert_eq!(v.generation, 1);
         assert_eq!(v.assignment.len(), 4);
-        assert_eq!(v.members, vec!["m1".to_string()]);
+        assert_eq!(v.members.keys().collect::<Vec<_>>(), ["m1"]);
     }
 
     #[test]
@@ -764,7 +731,7 @@ mod tests {
         clock.advance(50);
         let v = c.group_view("g", "a").unwrap();
         assert_eq!(v.generation, 1, "exactly one bump for the whole burst");
-        assert_eq!(v.members, vec!["a".to_string(), "b".to_string(), "c".to_string()]);
+        assert_eq!(v.members.keys().collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(v.assignment.len(), 2, "all three members were assigned together");
     }
 
@@ -788,24 +755,27 @@ mod tests {
         c.group_leave("g", "b").unwrap();
         let v = c.group_view("g", "a").unwrap();
         assert_eq!(v.generation, 3, "leave is not debounced");
-        assert_eq!(v.members, vec!["a".to_string()]);
+        assert_eq!(v.members.keys().collect::<Vec<_>>(), ["a"]);
     }
 
     #[test]
     fn metadata_is_frozen_until_the_next_rebalance() {
         let c = cluster();
         c.create_topic("t", TopicConfig::new(1)).unwrap();
-        c.group_join_with_metadata("g", "m", &["t".to_string()], &["o:0_0".to_string()]).unwrap();
+        let v = c.group_join("g", "m", &["t".to_string()]).unwrap();
+        assert!(v.members["m"].is_empty(), "a member joins with empty metadata");
+        c.group_update_metadata("g", "m", &["o:0_0".to_string()]).unwrap();
+        c.group_force_rebalance("g");
         c.group_update_metadata("g", "m", &["o:0_1".to_string()]).unwrap();
         let v = c.group_view("g", "m").unwrap();
         assert_eq!(
-            v.member_metadata["m"],
+            v.members["m"],
             vec!["o:0_0".to_string()],
             "live update invisible until frozen by a rebalance"
         );
         c.group_force_rebalance("g");
         let v = c.group_view("g", "m").unwrap();
-        assert_eq!(v.member_metadata["m"], vec!["o:0_1".to_string()]);
+        assert_eq!(v.members["m"], vec!["o:0_1".to_string()]);
     }
 
     #[test]
@@ -895,7 +865,6 @@ mod sticky_tests {
     fn sticky_keeps_partitions_on_member_join() {
         let c = cluster();
         c.create_topic("t", TopicConfig::new(4)).unwrap();
-        c.group_set_strategy("g", AssignmentStrategy::Sticky);
         c.group_join("g", "a", &["t".to_string()]).unwrap();
         let before = assignment_of(&c, "g", "a");
         assert_eq!(before.len(), 4);
@@ -913,7 +882,6 @@ mod sticky_tests {
     fn sticky_moves_only_departed_members_partitions() {
         let c = cluster();
         c.create_topic("t", TopicConfig::new(6)).unwrap();
-        c.group_set_strategy("g", AssignmentStrategy::Sticky);
         c.group_join("g", "a", &["t".to_string()]).unwrap();
         c.group_join("g", "b", &["t".to_string()]).unwrap();
         c.group_join("g", "c", &["t".to_string()]).unwrap();
@@ -929,10 +897,9 @@ mod sticky_tests {
     }
 
     #[test]
-    fn sticky_assignment_is_complete_and_disjoint() {
+    fn sticky_partitions_are_complete_and_disjoint() {
         let c = cluster();
         c.create_topic("t", TopicConfig::new(7)).unwrap();
-        c.group_set_strategy("g", AssignmentStrategy::Sticky);
         for m in ["a", "b", "c"] {
             c.group_join("g", m, &["t".to_string()]).unwrap();
         }
@@ -943,18 +910,5 @@ mod sticky_tests {
         all.dedup();
         assert_eq!(all.len(), len, "disjoint");
         assert_eq!(all.len(), 7, "complete");
-    }
-
-    #[test]
-    fn range_remains_the_default() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(4)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
-        // Range gives contiguous chunks.
-        assert_eq!(
-            assignment_of(&c, "g", "a"),
-            vec![TopicPartition::new("t", 0), TopicPartition::new("t", 1)]
-        );
     }
 }

@@ -18,7 +18,7 @@
 //!   partitions), transaction timeouts, and coordinator failover by
 //!   replaying the transaction log.
 //! * **Consumer groups** (§3.1): membership, generation-fenced offset
-//!   commits, range/sticky assignment, and the `__consumer_offsets` topic —
+//!   commits, sticky assignment, and the `__consumer_offsets` topic —
 //!   including *transactional* offset commits whose visibility follows the
 //!   producer's transaction outcome (§4.2.3).
 //! * **Clients**: [`producer::Producer`] and [`consumer::Consumer`] with

@@ -7,7 +7,7 @@ use kbroker::producer::{Producer, ProducerConfig};
 use kbroker::{Cluster, IsolationLevel, TopicConfig, TopicPartition};
 use proptest::prelude::*;
 use simkit::{FaultPlan, FaultPoint};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn all_records(cluster: &Cluster, topic: &str, iso: IsolationLevel) -> Vec<(Bytes, Bytes)> {
     let mut out = Vec::new();
@@ -25,6 +25,31 @@ fn all_records(cluster: &Cluster, topic: &str, iso: IsolationLevel) -> Vec<(Byte
         }
     }
     out
+}
+
+/// Owner of each partition of `t` across the group's `members`, checking
+/// that the assignment is disjoint, complete and balanced within one.
+fn group_owners(
+    cluster: &Cluster,
+    members: &[String],
+    parts: u32,
+) -> BTreeMap<TopicPartition, String> {
+    let mut owners = BTreeMap::new();
+    let mut sizes = Vec::new();
+    for m in members {
+        let view = cluster.group_view("g", m).unwrap();
+        sizes.push(view.assignment.len());
+        for tp in view.assignment {
+            assert!(
+                owners.insert(tp.clone(), m.clone()).is_none(),
+                "disjoint: {tp} assigned twice"
+            );
+        }
+    }
+    assert_eq!(owners.len(), parts as usize, "complete");
+    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+    assert!(max - min <= 1, "balanced: {sizes:?}");
+    owners
 }
 
 proptest! {
@@ -151,31 +176,46 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Group range assignment is a partition of the topic's partitions:
-    /// disjoint, complete, balanced within one.
+    /// Group assignment is a partition of the topic's partitions —
+    /// disjoint, complete, balanced within one — and sticky: after one
+    /// member joins or leaves, at most ⌈P/N⌉ partitions move, and every
+    /// move lands on the newcomer or leaves the departed member, so no
+    /// survivor loses a partition to another survivor.
     #[test]
     fn group_assignment_is_a_partition(
         parts in 1u32..20,
         members in 1usize..6,
+        join in any::<bool>(),
+        leaver in 0usize..6,
     ) {
         let cluster = Cluster::builder().brokers(1).replication(1).build();
         cluster.create_topic("t", TopicConfig::new(parts)).unwrap();
-        for m in 0..members {
-            cluster.group_join("g", &format!("m{m}"), &["t".to_string()]).unwrap();
+        let mut live: Vec<String> = (0..members).map(|m| format!("m{m}")).collect();
+        for m in &live {
+            cluster.group_join("g", m, &["t".to_string()]).unwrap();
         }
-        let mut counts: HashMap<TopicPartition, usize> = HashMap::new();
-        let mut sizes = Vec::new();
-        for m in 0..members {
-            let view = cluster.group_view("g", &format!("m{m}")).unwrap();
-            sizes.push(view.assignment.len());
-            for tp in view.assignment {
-                *counts.entry(tp).or_default() += 1;
-            }
+        let before = group_owners(&cluster, &live, parts);
+        let survivors_before = live.clone();
+        if join || members == 1 {
+            let newcomer = format!("m{members}");
+            cluster.group_join("g", &newcomer, &["t".to_string()]).unwrap();
+            live.push(newcomer);
+        } else {
+            let gone = live.remove(leaver % members);
+            cluster.group_leave("g", &gone).unwrap();
         }
-        prop_assert_eq!(counts.len(), parts as usize, "complete");
-        prop_assert!(counts.values().all(|&c| c == 1), "disjoint");
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(max - min <= 1, "balanced: {sizes:?}");
+        let after = group_owners(&cluster, &live, parts);
+        let moved: Vec<&TopicPartition> =
+            after.iter().filter(|(tp, m)| before[*tp] != **m).map(|(tp, _)| tp).collect();
+        let bound = (parts as usize).div_ceil(live.len());
+        prop_assert!(moved.len() <= bound, "moved {} > ceil({parts}/{}) = {bound}", moved.len(), live.len());
+        for tp in moved {
+            let (from, to) = (&before[tp], &after[tp]);
+            prop_assert!(
+                !live.contains(from) || !survivors_before.contains(to),
+                "survivor {from} lost {tp} to survivor {to}"
+            );
+        }
     }
 
     /// Committed offsets always reflect the latest committed value per

@@ -1,7 +1,7 @@
 //! Log-bucketed latency histograms and throughput meters.
 //!
-//! Promoted from `simprims::hist` so every layer (broker, streams, bench,
-//! simtest) shares one histogram type through the metrics registry; the
+//! Every layer (broker, streams, bench, simtest) shares this one histogram
+//! type through the metrics registry; the
 //! figure-reproduction binaries report end-to-end latency percentiles
 //! (record create time → read-committed consumer receive time, as in the
 //! paper's §4.3 setup) and sustained throughput from it.

@@ -17,9 +17,8 @@
 //!   critical-path analyzer (`kobs.critical_path.*`), a flight recorder of
 //!   the last completed span trees, and a `chrome://tracing` / Perfetto
 //!   JSON exporter.
-//! - [`hist`] / [`json`]: the shared [`LatencyHistogram`] (promoted from
-//!   `simprims::hist`) and a minimal JSON writer/parser used by the
-//!   exporters and the CI schema gate.
+//! - [`hist`] / [`json`]: the shared [`LatencyHistogram`] and a minimal
+//!   JSON writer/parser used by the exporters and the CI schema gate.
 //!
 //! Everything runs on *virtual* time: callers pass the simulation clock's
 //! `now_ms`, so latency percentiles and event timestamps are deterministic

@@ -514,3 +514,31 @@ fn simultaneous_joins_coalesce_into_one_generation() {
         j.close().unwrap();
     }
 }
+
+/// A streams group is membership-only: instances join with no topic
+/// subscription, so the coordinator assigns them no partitions, and the
+/// instances still split the tasks among themselves within ±1.
+#[test]
+fn streams_group_is_membership_only() {
+    let s = setup(5);
+    let mut a = app(&s, "a");
+    let mut b = app(&s, "b");
+    a.start().unwrap();
+    b.start().unwrap();
+    for id in ["a", "b"] {
+        let view = s.cluster.group_view("scale-app", id).unwrap();
+        assert!(view.assignment.is_empty(), "{id} got partitions: {:?}", view.assignment);
+    }
+    send_round(&s.cluster, 10, 0);
+    for _ in 0..15 {
+        a.step().unwrap();
+        b.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert!(s.cluster.group_view("scale-app", "a").unwrap().assignment.is_empty());
+    let (na, nb) = (a.task_ids().len(), b.task_ids().len());
+    assert_eq!(na + nb, 5, "every task owned once");
+    assert!(na.abs_diff(nb) <= 1, "balanced within one: {na} vs {nb}");
+    a.close().unwrap();
+    b.close().unwrap();
+}
