@@ -7,6 +7,12 @@
 //! Benchmarks flip [`ProducerConfig::idempotent`] off to measure exactly
 //! what the paper's §4.3 calls the "few extra numeric fields" overhead, and
 //! tests flip it off to demonstrate the duplicates it prevents.
+//!
+//! A transactional producer registers partitions with the coordinator once
+//! per flush: one AddPartitionsToTxn call carries every partition the flush
+//! writes for the first time in the transaction, so the coordinator logs one
+//! metadata record per flush. One call per partition would log P records,
+//! each re-encoding every partition so far: O(P²) for a P-partition commit.
 
 use crate::cluster::Cluster;
 use crate::error::BrokerError;
@@ -227,11 +233,20 @@ impl Producer {
     /// Flush all buffered records, in deterministic partition order (the
     /// simulation harness replays byte-identically from a seed, so no
     /// client may iterate a `HashMap` into an observable effect).
+    ///
+    /// A transactional producer first registers, in one AddPartitionsToTxn
+    /// call, every partition it is about to write that the transaction does
+    /// not hold yet, as Kafka's client `TransactionManager` does.
     pub fn flush(&mut self) -> Result<(), BrokerError> {
         let mut tps: Vec<TopicPartition> =
             // detlint:allow[unordered-iter] collected then sorted below
             self.buffers.iter().filter(|(_, b)| !b.is_empty()).map(|(tp, _)| tp.clone()).collect();
         tps.sort();
+        if self.is_transactional() {
+            let unregistered: Vec<TopicPartition> =
+                tps.iter().filter(|tp| !self.registered.contains(*tp)).cloned().collect();
+            self.add_partitions_with_retries(&unregistered)?;
+        }
         for tp in tps {
             self.flush_partition(&tp)?;
         }
@@ -243,8 +258,9 @@ impl Producer {
             Some(b) if !b.is_empty() => std::mem::take(b),
             _ => return Ok(()),
         };
+        // Only the `batch_size` auto-flush reaches here unregistered.
         if self.is_transactional() && !self.registered.contains(tp) {
-            self.add_partition_with_retries(tp)?;
+            self.add_partitions_with_retries(std::slice::from_ref(tp))?;
         }
         let base_seq = if self.config.idempotent || self.is_transactional() {
             *self.sequences.entry(tp.clone()).or_insert(0)
@@ -271,32 +287,23 @@ impl Producer {
         Ok(())
     }
 
-    /// Register a partition with the transaction coordinator, retrying
-    /// through lost AddPartitionsToTxn acks. A `DropAck` retry re-registers
-    /// an already-registered partition — idempotent at the coordinator, so
-    /// the retry is harmless (§4.2).
-    fn add_partition_with_retries(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
+    /// Register partitions with the transaction coordinator in one
+    /// AddPartitionsToTxn call, retrying the whole call through lost acks.
+    /// A `DropAck` retry re-registers partitions the coordinator already
+    /// holds — idempotent there, so the retry is harmless (§4.2).
+    fn add_partitions_with_retries(&mut self, tps: &[TopicPartition]) -> Result<(), BrokerError> {
+        let Some(first) = tps.first() else { return Ok(()) };
         let tid = self.tid()?.to_string();
         let mut attempts = 0;
         loop {
             match self.cluster.faults().decide(FaultPoint::TxnAddPartitionsAckLost) {
                 FaultDecision::DropRequest => {} // never reached the coordinator
                 FaultDecision::DropAck => {
-                    self.cluster.txn_add_partitions(
-                        &tid,
-                        self.producer_id,
-                        self.epoch,
-                        std::slice::from_ref(tp),
-                    )?;
+                    self.cluster.txn_add_partitions(&tid, self.producer_id, self.epoch, tps)?;
                 }
                 FaultDecision::Deliver => {
-                    self.cluster.txn_add_partitions(
-                        &tid,
-                        self.producer_id,
-                        self.epoch,
-                        std::slice::from_ref(tp),
-                    )?;
-                    self.registered.insert(tp.clone());
+                    self.cluster.txn_add_partitions(&tid, self.producer_id, self.epoch, tps)?;
+                    self.registered.extend(tps.iter().cloned());
                     return Ok(());
                 }
             }
@@ -304,8 +311,8 @@ impl Producer {
             self.stats.retries += 1;
             if attempts > self.config.max_retries {
                 return Err(BrokerError::RetriesExhausted {
-                    topic: tp.topic.clone(),
-                    partition: tp.partition,
+                    topic: first.topic.clone(),
+                    partition: first.partition,
                 });
             }
         }
@@ -371,7 +378,7 @@ impl Producer {
         }
         let offsets_tp = self.cluster.offsets_partition_for_group(group);
         if !self.registered.contains(&offsets_tp) {
-            self.add_partition_with_retries(&offsets_tp)?;
+            self.add_partitions_with_retries(std::slice::from_ref(&offsets_tp))?;
         }
         self.cluster.group_txn_commit_offsets(
             group,
@@ -582,6 +589,59 @@ mod tests {
         assert_eq!(count(&c, "t", IsolationLevel::ReadCommitted), 1);
         assert_eq!(faults.observed(FaultPoint::TxnAddPartitionsAckLost), 3);
         assert_eq!(faults.injected(FaultPoint::TxnAddPartitionsAckLost), 2);
+    }
+
+    #[test]
+    fn scripted_batched_add_partitions_retry_covers_every_partition() {
+        // Three partitions registered by one flush share one
+        // AddPartitionsToTxn call: its ack is lost, the retry's request is
+        // lost, the 3rd attempt delivers. One fault decision per attempt,
+        // not per partition, and every partition's record commits.
+        let faults = FaultPlan::none()
+            .script(FaultPoint::TxnAddPartitionsAckLost, 1, FaultDecision::DropAck)
+            .script(FaultPoint::TxnAddPartitionsAckLost, 2, FaultDecision::DropRequest);
+        let c = cluster_with(faults.clone());
+        c.create_topic("t", TopicConfig::new(3)).unwrap();
+        let mut p = Producer::new(c.clone(), ProducerConfig::transactional("app"));
+        p.init_transactions().unwrap();
+        p.begin_transaction().unwrap();
+        for part in 0..3 {
+            p.send_to_partition(&TopicPartition::new("t", part), Record::of_str("k", "v", 0))
+                .unwrap();
+        }
+        p.flush().unwrap();
+        p.commit_transaction().unwrap();
+        assert_eq!(count(&c, "t", IsolationLevel::ReadCommitted), 3);
+        assert_eq!(faults.observed(FaultPoint::TxnAddPartitionsAckLost), 3);
+        assert_eq!(faults.injected(FaultPoint::TxnAddPartitionsAckLost), 2);
+    }
+
+    #[test]
+    fn flush_registers_once_and_txn_log_growth_is_independent_of_partitions() {
+        // One record to each of N partitions, then one flush: the flush
+        // registers all N in one call, so the transaction log gains the
+        // same three records (register, prepare, complete) for any N.
+        let txn_log_growth = |n: u32| {
+            let faults = FaultPlan::none();
+            let c = cluster_with(faults.clone());
+            c.create_topic("t", TopicConfig::new(n)).unwrap();
+            let mut p = Producer::new(c.clone(), ProducerConfig::transactional("app"));
+            p.init_transactions().unwrap();
+            let log = c.txn_log_tp("app");
+            let before = c.latest_offset(&log).unwrap();
+            p.begin_transaction().unwrap();
+            for part in 0..n {
+                p.send_to_partition(&TopicPartition::new("t", part), Record::of_str("k", "v", 0))
+                    .unwrap();
+            }
+            p.flush().unwrap();
+            assert_eq!(faults.observed(FaultPoint::TxnAddPartitionsAckLost), 1, "N = {n}");
+            p.commit_transaction().unwrap();
+            assert_eq!(count(&c, "t", IsolationLevel::ReadCommitted), n as usize);
+            c.latest_offset(&log).unwrap() - before
+        };
+        assert_eq!(txn_log_growth(1), 3);
+        assert_eq!(txn_log_growth(200), 3);
     }
 
     #[test]

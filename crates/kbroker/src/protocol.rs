@@ -141,17 +141,27 @@ impl TxnMetadata {
     /// contain none of `| ; :` (enforced nowhere because topic names in this
     /// simulation are plain identifiers).
     pub fn encode(&self) -> Bytes {
-        let parts: Vec<String> =
-            self.partitions.iter().map(|tp| format!("{}:{}", tp.topic, tp.partition)).collect();
-        Bytes::from(format!(
-            "{}|{}|{}|{}|{}|{}",
+        use std::fmt::Write;
+        // Per partition: the topic, up to ten digits and two separators.
+        let cap = 64 + self.partitions.iter().map(|tp| tp.topic.len() + 12).sum::<usize>();
+        let mut out = String::with_capacity(cap);
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{}|{}|{}|{}|{}|",
             self.producer_id,
             self.epoch,
             self.state.as_str(),
             self.txn_start_ms,
-            self.timeout_ms,
-            parts.join(";")
-        ))
+            self.timeout_ms
+        );
+        for (i, tp) in self.partitions.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            let _ = write!(out, "{}:{}", tp.topic, tp.partition);
+        }
+        Bytes::from(out)
     }
 
     /// Parse a transaction-log record value.
@@ -450,7 +460,13 @@ mod tests {
             txn_start_ms: 12345,
             timeout_ms: 60_000,
         };
-        assert_eq!(TxnMetadata::decode(&meta.encode()), Some(meta));
+        // The transaction log's value format is pinned: a recovered
+        // coordinator must parse records that earlier builds wrote.
+        assert_eq!(&meta.encode()[..], b"42|7|PrepareCommit|12345|60000|a:0;b:3");
+        assert_eq!(TxnMetadata::decode(&meta.encode()), Some(meta.clone()));
+        let empty = TxnMetadata { partitions: BTreeSet::new(), ..meta };
+        assert_eq!(&empty.encode()[..], b"42|7|PrepareCommit|12345|60000|");
+        assert_eq!(TxnMetadata::decode(&empty.encode()), Some(empty));
     }
 
     #[test]

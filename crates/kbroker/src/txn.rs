@@ -86,7 +86,8 @@ fn check_error(tid: &str, e: ProducerCheckError) -> BrokerError {
 }
 
 impl Cluster {
-    fn txn_log_tp(&self, tid: &str) -> TopicPartition {
+    /// The `__transaction_state` partition that logs `tid`'s transitions.
+    pub(crate) fn txn_log_tp(&self, tid: &str) -> TopicPartition {
         TopicPartition::new(TXN_TOPIC, self.inner.txn.shard_of(tid))
     }
 
@@ -276,10 +277,7 @@ impl Cluster {
         let now = self.now_ms();
         let meta = Self::txn_validated(&mut map, tid, pid, epoch)?;
         match protocol::register_partitions(tid, meta, partitions, now) {
-            Ok(true) => {
-                let snapshot = meta.clone();
-                self.txn_persist(tid, &snapshot)?;
-            }
+            Ok(true) => self.txn_persist(tid, meta)?,
             Ok(false) => {}
             Err(s) => {
                 return Err(BrokerError::InvalidTxnTransition {

@@ -96,12 +96,14 @@ fn detlint_is_clean_over_the_scheduler_module() {
 
 #[test]
 fn fifty_seed_sweep_exercises_all_fault_points_and_cluster_events() {
-    let mut injected = [0u64; 4];
-    let original_points = [
+    let mut injected = [0u64; 5];
+    let must_fire = [
         FaultPoint::ProduceAckLost,
         FaultPoint::ProduceRequestLost,
         FaultPoint::FetchResponseLost,
         FaultPoint::TxnRpcAckLost,
+        // The batched AddPartitionsToTxn retry path (one decision per flush).
+        FaultPoint::TxnAddPartitionsAckLost,
     ];
     let mut kills = 0u64;
     let mut restores = 0u64;
@@ -111,7 +113,7 @@ fn fifty_seed_sweep_exercises_all_fault_points_and_cluster_events() {
     for seed in 0..50 {
         let report = run(&SimConfig::new(seed));
         report.assert_passed();
-        for (slot, point) in injected.iter_mut().zip(original_points) {
+        for (slot, point) in injected.iter_mut().zip(must_fire) {
             *slot += report.injected(point);
         }
         kills += report.events.broker_kills;
@@ -120,7 +122,7 @@ fn fifty_seed_sweep_exercises_all_fault_points_and_cluster_events() {
         restarts += report.events.instance_restarts;
         rebalances += report.events.forced_rebalances;
     }
-    for (slot, point) in injected.iter().zip(original_points) {
+    for (slot, point) in injected.iter().zip(must_fire) {
         assert!(*slot > 0, "{} never injected across the sweep", point.name());
     }
     assert!(kills > 0, "no broker was ever killed across the sweep");
