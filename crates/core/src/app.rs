@@ -78,10 +78,12 @@ pub struct KafkaStreamsApp {
     last_commit_ms: i64,
     txn_open: bool,
     started: bool,
-    /// Metrics of tasks that were revoked (so totals are cumulative).
+    /// Instance-level counters (commits, transactions, steals, standby
+    /// replay) plus the final metrics of tasks no longer owned, so totals
+    /// are cumulative.
     retired_metrics: StreamsMetrics,
-    commits: u64,
-    transactions: u64,
+    /// [`Self::metrics`] as of the last registry publish.
+    published: StreamsMetrics,
     /// Process cycles run so far — the stream id for the deterministic
     /// scheduler's per-cycle steal decisions.
     scheduler_cycles: u64,
@@ -132,8 +134,7 @@ impl KafkaStreamsApp {
             txn_open: false,
             started: false,
             retired_metrics: StreamsMetrics::default(),
-            commits: 0,
-            transactions: 0,
+            published: StreamsMetrics::default(),
             scheduler_cycles: 0,
             sched_busy_ns: 0,
             sched_critical_ns: 0,
@@ -410,17 +411,7 @@ impl KafkaStreamsApp {
                 let (stores, positions) = standby.into_parts();
                 task.adopt_warm_stores(stores, positions);
             }
-            // Committed input offsets drive both the starting positions and
-            // the restore bound of source-as-changelog stores.
-            let mut starts = HashMap::new();
-            for tp in task.input_partitions() {
-                let committed = self.cluster.group_committed_offset(self.app_id(), &tp)?;
-                let start = match committed {
-                    Some(off) => off,
-                    None => self.cluster.earliest_offset(&tp).unwrap_or(0),
-                };
-                starts.insert(tp, start);
-            }
+            let starts = self.committed_starts(&task)?;
             // Durable warm start: load post-commit spills (if configured)
             // so restore replays only the changelog suffix above each
             // spill's watermark.
@@ -444,6 +435,24 @@ impl KafkaStreamsApp {
         Ok(())
     }
 
+    /// Each input partition's committed offset (earliest if none): the
+    /// task's starting positions and the restore bound of its
+    /// source-as-changelog stores.
+    fn committed_starts(
+        &self,
+        task: &StreamTask,
+    ) -> Result<HashMap<TopicPartition, i64>, StreamsError> {
+        let mut starts = HashMap::new();
+        for tp in task.input_partitions() {
+            let start = match self.cluster.group_committed_offset(self.app_id(), &tp)? {
+                Some(off) => off,
+                None => self.cluster.earliest_offset(&tp).unwrap_or(0),
+            };
+            starts.insert(tp, start);
+        }
+        Ok(starts)
+    }
+
     /// Retry parked restores. Changelog replay is an idempotent upsert, so
     /// each retry re-runs the remaining suffix from the same warm point; a
     /// task activates only once its replay reaches the changelog log end
@@ -456,15 +465,7 @@ impl KafkaStreamsApp {
         let ids: Vec<TaskId> = self.restoring.keys().copied().collect();
         for id in ids {
             let mut task = self.restoring.remove(&id).expect("parked");
-            let mut starts = HashMap::new();
-            for tp in task.input_partitions() {
-                let committed = self.cluster.group_committed_offset(self.app_id(), &tp)?;
-                let start = match committed {
-                    Some(off) => off,
-                    None => self.cluster.earliest_offset(&tp).unwrap_or(0),
-                };
-                starts.insert(tp, start);
-            }
+            let starts = self.committed_starts(&task)?;
             if task.restore(&self.cluster, isolation, &starts)? {
                 for (tp, start) in &starts {
                     task.set_position(tp, *start);
@@ -631,10 +632,7 @@ impl KafkaStreamsApp {
                 self.scheduler_cycles = self.scheduler_cycles.wrapping_add(1);
                 self.sched_busy_ns += outcome.busy_total_ns;
                 self.sched_critical_ns += outcome.critical_path_ns;
-                if outcome.steals > 0 {
-                    self.retired_metrics.scheduler_steals += outcome.steals;
-                    kobs::count("kstreams.scheduler.steals", outcome.steals);
-                }
+                self.retired_metrics.scheduler_steals += outcome.steals;
                 for id in &task_ids {
                     self.send_task_writes(*id)?;
                 }
@@ -807,7 +805,7 @@ impl KafkaStreamsApp {
                     // spans emitted broker-side parent under the commit span.
                     self.producer.commit_transaction()?;
                     self.txn_open = false;
-                    self.transactions += 1;
+                    self.retired_metrics.transactions += 1;
                 }
             }
             ProcessingGuarantee::AtLeastOnce => {
@@ -840,13 +838,12 @@ impl KafkaStreamsApp {
         for task in self.tasks.values_mut() {
             task.mark_clean();
         }
-        self.commits += 1;
+        self.retired_metrics.commits += 1;
         self.last_commit_ms = self.cluster.now_ms();
         // The commit cycle's virtual-clock cost is dominated by the txn
         // marker fan-out in exactly-once mode — this histogram is what
         // explains Figure 5's EOS latency shape.
         kobs::observe("kstreams.commit_cycle_ms", self.last_commit_ms - commit_start);
-        kobs::count("kstreams.commit_cycles", 1);
         let m = self.metrics();
         // Changelog amplification: appends per 1000 inputs. 1000 with
         // caching off and one store write per input; drops as the cache
@@ -856,7 +853,7 @@ impl KafkaStreamsApp {
         {
             kobs::gauge_set("kstreams.changelog_appends_per_1k_inputs", per_1k as i64);
         }
-        m.publish();
+        m.publish_growth(&mut self.published, kobs::global());
         Ok(())
     }
 
@@ -914,6 +911,8 @@ impl KafkaStreamsApp {
             return Ok(());
         }
         self.commit_or_dirty_close()?;
+        // A dirty close skips the commit's publish; export what it retired.
+        self.metrics().publish_growth(&mut self.published, kobs::global());
         match self.cluster.group_leave(self.app_id(), &self.instance_id) {
             Ok(()) | Err(kbroker::BrokerError::UnknownMember { .. }) => {}
             Err(e) => return Err(e.into()),
@@ -935,8 +934,6 @@ impl KafkaStreamsApp {
         for t in self.tasks.values() {
             m.merge(t.metrics());
         }
-        m.commits = self.commits;
-        m.transactions = self.transactions;
         m.active_tasks = self.tasks.len() as u64;
         m.standby_tasks = self.standbys.len() as u64;
         m

@@ -73,14 +73,6 @@ impl Processor for WindowAggregate {
         for start in self.windows.windows_for(record.ts) {
             if self.windows.is_closed(start, stream_time) {
                 ctx.metrics().late_dropped += 1;
-                kobs::count("kstreams.late_drops", 1);
-                kobs::debug_event!(
-                    stream_time,
-                    "kstreams",
-                    "late_drop",
-                    record_ts = record.ts,
-                    window_start = start,
-                );
                 continue;
             }
             let old = ctx.window_fetch(&self.store, &key, start);
@@ -184,8 +176,6 @@ impl Processor for SessionAggregate {
         let stream_time = ctx.stream_time();
         if record.ts.saturating_add(self.windows.grace_ms) < stream_time {
             ctx.metrics().late_dropped += 1;
-            kobs::count("kstreams.late_drops", 1);
-            kobs::debug_event!(stream_time, "kstreams", "late_drop", record_ts = record.ts);
             return;
         }
         let overlapping = ctx.session_find(&self.store, &key, record.ts, self.windows.gap_ms);

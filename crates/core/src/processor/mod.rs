@@ -163,14 +163,11 @@ impl<'a> ProcessorContext<'a> {
         let outcome = entry.cache.put(changelog_key, old, value, ts, forward);
         if outcome.hit {
             self.env.metrics.cache_hits += 1;
-            kobs::count("kstreams.cache.hits", 1);
         } else {
             self.env.metrics.cache_misses += 1;
-            kobs::count("kstreams.cache.misses", 1);
         }
         if let Some((key, e)) = outcome.evicted {
             self.env.metrics.cache_evictions += 1;
-            kobs::count("kstreams.cache.evictions", 1);
             if changelogged {
                 self.env.metrics.changelog_appends += 1;
                 self.env.changelog.push((store.to_string(), key.clone(), e.new.clone()));

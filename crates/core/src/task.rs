@@ -254,7 +254,6 @@ impl StreamTask {
             }
         }
         let replayed = self.env.metrics.restore_records - replayed_before;
-        kobs::count("kstreams.restore.records_replayed", replayed);
         if replayed > 0 {
             kobs::count("kstreams.restore.sessions", 1);
             kobs::event!(

@@ -255,7 +255,7 @@ impl ReplicaSet {
     /// A broker died: remove it from the ISR; if it led this partition,
     /// elect the first remaining ISR member (rebuilding its producer state
     /// from its local log, §4.1). `now_ms` timestamps the emitted
-    /// shrink/election trace events.
+    /// shrink/election annotations.
     pub fn on_broker_down(&mut self, broker: usize, now_ms: i64) {
         // Honest crash in disk mode: the dead broker loses ALL in-memory
         // state right now. Its segment files survive on disk (deliberately
@@ -306,7 +306,7 @@ impl ReplicaSet {
     /// the recovered log is a prefix of the leader's, only the missing
     /// suffix is installed on top, otherwise (e.g. compaction ran while it
     /// was down) we fall back to a full re-clone plus disk resync. `now_ms`
-    /// timestamps the emitted expand/election trace events.
+    /// timestamps the emitted expand/election annotations.
     pub fn on_broker_up(&mut self, broker: usize, now_ms: i64) {
         if !self.assigned_brokers().contains(&broker) || self.isr.contains(&broker) {
             return;

@@ -219,7 +219,7 @@ impl DiskLog {
                 None,
                 kobs::ktrace::Parent::Current,
                 "fsync",
-                || vec![("bytes", kobs::trace::FieldValue::from(bytes as i64))],
+                || vec![("bytes", kobs::FieldValue::from(bytes as i64))],
             );
             kobs::ktrace::finish_span(h, start_us + cost);
         }

@@ -10,6 +10,13 @@
 //! byte-identical span trees and byte-identical chrome JSON, serial or
 //! parallel.
 //!
+//! An [`event!`](crate::event) is an *annotation*: a zero-duration span
+//! recorded under the thread's current span (or on its own outside any
+//! span). It lands in its parent's tree and in the export buffer, but it
+//! never forms a tree of its own and never counts toward the critical
+//! path. [`annotations`] reads the newest ones back (the simtest trace
+//! tail).
+//!
 //! Three consumers sit on top of the store:
 //!
 //! - the **critical-path analyzer**: at every commit-cycle root finish it
@@ -26,14 +33,14 @@
 //! Under the `off` feature every entry point is a no-op, field closures
 //! never run, and the macros cost nothing.
 
-use crate::trace::FieldValue;
+use crate::json::{self, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
 /// Finished spans retained for export; older spans are evicted FIFO and
-/// counted in `kobs.trace.spans_dropped`.
+/// counted in `kobs.trace.spans_dropped` (see [`dropped_spans`]).
 pub const SPAN_CAPACITY: usize = 1 << 16;
 
 /// Completed span trees kept by the flight recorder.
@@ -42,6 +49,80 @@ pub const FLIGHT_RECORDER_TREES: usize = 32;
 /// Spans retained per recorded tree (largest-id spans win; the cap keeps a
 /// pathological cycle from pinning the recorder).
 pub const TREE_SPAN_CAP: usize = 512;
+
+/// One typed field value on a span or annotation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldValue {
+    /// A signed integer.
+    I64(i64),
+    /// An unsigned integer.
+    U64(u64),
+    /// A string.
+    Str(String),
+}
+
+impl FieldValue {
+    /// The value as JSON (chrome `args`, report trace tails).
+    pub fn to_json(&self) -> Value {
+        match self {
+            FieldValue::I64(n) => json::num(*n as f64),
+            FieldValue::U64(n) => json::num(*n as f64),
+            FieldValue::Str(s) => json::str(s.clone()),
+        }
+    }
+}
+
+impl fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldValue::I64(v) => write!(f, "{v}"),
+            FieldValue::U64(v) => write!(f, "{v}"),
+            FieldValue::Str(s) => write!(f, "{s}"),
+        }
+    }
+}
+
+impl From<i64> for FieldValue {
+    fn from(v: i64) -> Self {
+        FieldValue::I64(v)
+    }
+}
+
+impl From<i32> for FieldValue {
+    fn from(v: i32) -> Self {
+        FieldValue::I64(v as i64)
+    }
+}
+
+impl From<u64> for FieldValue {
+    fn from(v: u64) -> Self {
+        FieldValue::U64(v)
+    }
+}
+
+impl From<u32> for FieldValue {
+    fn from(v: u32) -> Self {
+        FieldValue::U64(v as u64)
+    }
+}
+
+impl From<usize> for FieldValue {
+    fn from(v: usize) -> Self {
+        FieldValue::U64(v as u64)
+    }
+}
+
+impl From<&str> for FieldValue {
+    fn from(v: &str) -> Self {
+        FieldValue::Str(v.to_string())
+    }
+}
+
+impl From<String> for FieldValue {
+    fn from(v: String) -> Self {
+        FieldValue::Str(v)
+    }
+}
 
 /// One completed (or in-flight) span.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,12 +145,42 @@ pub struct Span {
     pub end_us: i64,
     /// Structured fields attached at span start.
     pub fields: Vec<(&'static str, FieldValue)>,
+    /// Whether this is a zero-duration annotation ([`crate::event!`]).
+    pub annotation: bool,
 }
 
 impl Span {
     /// Inclusive virtual duration in microseconds.
     pub fn duration_us(&self) -> i64 {
         self.end_us - self.start_us
+    }
+
+    /// The span as a JSON object (report trace tails).
+    pub fn to_json(&self) -> Value {
+        let mut pairs = vec![("id", json::num(self.id as f64))];
+        if let Some(p) = self.parent {
+            pairs.push(("parent", json::num(p as f64)));
+        }
+        pairs.extend([
+            ("ts_us", json::num(self.start_us as f64)),
+            ("dur_us", json::num(self.duration_us() as f64)),
+            ("track", json::str(self.track)),
+            ("name", json::str(self.name)),
+        ]);
+        let fields = self.fields.iter().map(|(k, v)| (k.to_string(), v.to_json())).collect();
+        pairs.push(("fields", Value::Obj(fields)));
+        json::obj(pairs)
+    }
+}
+
+/// One text line: `[ts_ms] track name k=v ...` (report trace tails).
+impl fmt::Display for Span {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{:>8}] {:<14} {:<18}", self.start_us / 1000, self.track, self.name)?;
+        for (k, v) in &self.fields {
+            write!(f, " {k}={v}")?;
+        }
+        Ok(())
     }
 }
 
@@ -241,6 +352,7 @@ where
                     start_us,
                     end_us: start_us,
                     fields: fields(),
+                    annotation: false,
                 },
                 min_end_us: start_us,
             },
@@ -258,8 +370,23 @@ where
 /// precedes the span's start or any finished child's end. Finishing a root
 /// assembles its tree: flight recorder, critical-path accounting, and the
 /// `kobs.critical_path.*` histograms all update here.
-#[allow(unused_variables)]
 pub fn finish_span(handle: SpanHandle, end_us: i64) {
+    finish(handle, end_us, false);
+}
+
+/// Record an annotation at `ts_us` (virtual µs): a span under the calling
+/// thread's current span, started and finished at the same instant. Outside
+/// any span it stays in the export buffer on its own, forming no
+/// flight-recorder tree.
+pub fn annotate<F>(ts_us: i64, track: &'static str, name: &'static str, fields: F)
+where
+    F: FnOnce() -> Vec<(&'static str, FieldValue)>,
+{
+    finish(start_span(ts_us, track, None, Parent::Current, name, fields), ts_us, true);
+}
+
+#[allow(unused_variables)]
+fn finish(handle: SpanHandle, end_us: i64, annotation: bool) {
     #[cfg(not(feature = "off"))]
     {
         if handle.is_none() {
@@ -271,41 +398,34 @@ pub fn finish_span(handle: SpanHandle, end_us: i64) {
         };
         let mut span = active.span;
         span.end_us = end_us.max(active.min_end_us).max(span.start_us);
+        span.annotation = annotation;
         if let Some(parent) = span.parent {
             if let Some(pa) = st.active.get_mut(&parent) {
                 pa.min_end_us = pa.min_end_us.max(span.end_us);
             }
         }
-        if span.id == span.root {
+        if span.id != span.root {
+            st.pending.entry(span.root).or_default().push(span.clone());
+        } else if !annotation {
             let mut spans = st.pending.remove(&span.root).unwrap_or_default();
             spans.push(span.clone());
             spans.sort_by_key(|s| s.id);
             finish_root(&mut st, span.clone(), spans);
-        } else {
-            st.pending.entry(span.root).or_default().push(span.clone());
         }
         push_completed(&mut st, span);
     }
 }
 
+/// Append to the export buffer, evicting (and counting) the oldest span
+/// when full. The count stays in the store: `kobs::snapshot` folds it in,
+/// so an eviction never touches the registry lock.
 #[cfg(not(feature = "off"))]
 fn push_completed(st: &mut Store, span: Span) {
     if st.completed.len() == SPAN_CAPACITY {
         st.completed.pop_front();
         st.dropped += 1;
-        if st.dropped == 1 {
-            drop_marker();
-        }
     }
     st.completed.push_back(span);
-}
-
-/// Count span-store overflow once per run outside the store lock would
-/// race with `reset`; the registry mutex is independent so nesting the
-/// call here is deadlock-free.
-#[cfg(not(feature = "off"))]
-fn drop_marker() {
-    crate::count("kobs.trace.spans_dropped_runs", 1);
 }
 
 #[cfg(not(feature = "off"))]
@@ -325,7 +445,7 @@ fn finish_root(st: &mut Store, root: Span, mut spans: Vec<Span>) {
         st.trees.pop_front();
     }
     let tree = SpanTree { root, spans, truncated };
-    if tree.spans.iter().any(|s| s.name == "commit") {
+    if tree.spans.iter().any(|s| s.name == "commit" && !s.annotation) {
         account_critical_path(st, &tree);
     }
     st.trees.push_back(tree);
@@ -335,18 +455,19 @@ fn finish_root(st: &mut Store, root: Span, mut spans: Vec<Span>) {
 /// durations. Summed over a tree the child durations telescope, so the
 /// phase breakdown sums to the root duration *exactly* — which is why a
 /// span whose siblings overlap it by a few µs is allowed to contribute a
-/// slightly negative self time instead of being clamped.
+/// slightly negative self time instead of being clamped. Annotations take
+/// no time and are not phases, so they are skipped.
 #[cfg(not(feature = "off"))]
 fn account_critical_path(st: &mut Store, tree: &SpanTree) {
     let mut child_total: BTreeMap<u64, i64> = BTreeMap::new();
-    for s in &tree.spans {
+    for s in tree.spans.iter().filter(|s| !s.annotation) {
         if let Some(p) = s.parent {
             *child_total.entry(p).or_insert(0) += s.duration_us();
         }
     }
     st.cp_cycles += 1;
     st.cp_total_us += tree.root.duration_us();
-    for s in &tree.spans {
+    for s in tree.spans.iter().filter(|s| !s.annotation) {
         let self_us = s.duration_us() - child_total.get(&s.id).copied().unwrap_or(0);
         *st.cp_phases.entry(s.name).or_insert(0) += self_us;
         crate::observe(&format!("kobs.critical_path.{}_ms", s.name), self_us.max(0) / 1000);
@@ -368,7 +489,7 @@ fn longest_chain(tree: &SpanTree) -> Vec<&'static str> {
         let next = tree
             .spans
             .iter()
-            .filter(|s| s.parent == Some(at))
+            .filter(|s| s.parent == Some(at) && !s.annotation)
             .max_by_key(|s| (s.duration_us(), std::cmp::Reverse(s.id)));
         match next {
             Some(s) => {
@@ -425,9 +546,20 @@ pub fn finished_spans() -> Vec<Span> {
     spans
 }
 
-/// Finished spans evicted from the export buffer.
+/// Finished spans evicted from the export buffer this run (exported as
+/// the `kobs.trace.spans_dropped` counter by `kobs::snapshot`).
 pub fn dropped_spans() -> u64 {
     lock().dropped
+}
+
+/// The newest `n` annotations still in the export buffer, in emission
+/// order.
+pub fn annotations(n: usize) -> Vec<Span> {
+    let st = lock();
+    let mut newest: Vec<Span> =
+        st.completed.iter().rev().filter(|s| s.annotation).take(n).cloned().collect();
+    newest.reverse();
+    newest
 }
 
 /// The last `n` completed span trees, oldest first.
@@ -460,14 +592,18 @@ pub fn render_tree(tree: &SpanTree) -> String {
         let d = s.parent.and_then(|p| depth.get(&p).copied()).map_or(0, |pd| pd + 1);
         depth.insert(s.id, d);
         let indent = "  ".repeat(d);
-        let _ = write!(
-            out,
-            "{indent}{} [{}..{}us, {}us]",
-            s.name,
-            s.start_us,
-            s.end_us,
-            s.duration_us()
-        );
+        let _ = if s.annotation {
+            write!(out, "{indent}@ {} [{}us]", s.name, s.start_us)
+        } else {
+            write!(
+                out,
+                "{indent}{} [{}..{}us, {}us]",
+                s.name,
+                s.start_us,
+                s.end_us,
+                s.duration_us()
+            )
+        };
         if let Some(w) = s.worker {
             let _ = write!(out, " worker={w}");
         }
@@ -509,7 +645,7 @@ macro_rules! span {
             None,
             $crate::ktrace::Parent::Root,
             $name,
-            || vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
+            || vec![$((stringify!($key), $crate::ktrace::FieldValue::from($val))),*],
         )
     };
 }
@@ -525,8 +661,25 @@ macro_rules! child_span {
             None,
             $crate::ktrace::Parent::Current,
             $name,
-            || vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
+            || vec![$((stringify!($key), $crate::ktrace::FieldValue::from($val))),*],
         )
+    };
+}
+
+/// Record an annotation ([`annotate`]) from virtual milliseconds:
+/// `component` becomes the span's track, `kind` its name.
+///
+/// ```
+/// kobs::event!(17, "kbroker.txn", "txn_commit", pid = 4u64, partitions = 2usize);
+/// assert_eq!(kobs::ktrace::annotations(1).len(), kobs::ENABLED as usize);
+/// # kobs::ktrace::clear();
+/// ```
+#[macro_export]
+macro_rules! event {
+    ($ts_ms:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
+        $crate::ktrace::annotate(($ts_ms as i64) * 1000, $component, $kind, || {
+            vec![$((stringify!($key), $crate::ktrace::FieldValue::from($val))),*]
+        })
     };
 }
 
@@ -660,6 +813,79 @@ mod tests {
     }
 
     #[test]
+    fn annotation_joins_its_parent_tree_but_not_the_critical_path() {
+        let _g = isolated();
+        let root = crate::span!(0, "kstreams", "cycle");
+        let _e = enter(root);
+        let commit = crate::child_span!(0, "kstreams", "commit");
+        let _e2 = enter(commit);
+        crate::event!(3, "kbroker.txn", "txn_commit", pid = 7u64);
+        finish_span(commit, 2_000);
+        drop(_e2);
+        finish_span(root, 4_000);
+        if !crate::ENABLED {
+            assert!(annotations(8).is_empty() && finished_spans().is_empty());
+            return;
+        }
+        let spans = finished_spans();
+        let a = spans.iter().find(|s| s.annotation).expect("annotation recorded");
+        assert_eq!((a.name, a.track, a.parent, a.root), ("txn_commit", "kbroker.txn", Some(2), 1));
+        assert_eq!((a.start_us, a.end_us), (3_000, 3_000));
+        // Like a zero-length child, it holds its parent open past 2 ms.
+        assert_eq!(spans.iter().find(|s| s.name == "commit").unwrap().end_us, 3_000);
+        let tree = recent_trees(1).pop().unwrap();
+        assert_eq!(tree.spans.len(), 3);
+        assert!(render_tree(&tree).contains("@ txn_commit [3000us] track=kbroker.txn pid=7"));
+        let cp = critical_path_summary().unwrap();
+        assert!(cp.phases.iter().all(|(n, _)| *n != "txn_commit"), "{:?}", cp.phases);
+        assert_eq!(cp.longest_chain, vec!["cycle", "commit"]);
+        assert_eq!(annotations(8), vec![a.clone()]);
+    }
+
+    #[test]
+    fn root_annotations_form_no_tree_and_tail_in_emission_order() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        let r = crate::span!(0, "kstreams", "cycle");
+        finish_span(r, 1_000);
+        for i in 0..40u64 {
+            crate::event!(i as i64, "klog", "segment_roll", n = i);
+        }
+        assert_eq!(recent_trees(usize::MAX).len(), 1, "annotations must not push out trees");
+        assert_eq!(finished_spans().len(), 41, "root annotations stay in the store");
+        let tail = annotations(32);
+        assert_eq!(tail.len(), 32);
+        assert!(tail.windows(2).all(|w| w[0].id < w[1].id));
+        assert_eq!(tail.last().unwrap().fields, vec![("n", FieldValue::U64(39))]);
+        assert_eq!(
+            tail[0].to_string(),
+            format!("[{:>8}] {:<14} {:<18} n=8", 8, "klog", "segment_roll")
+        );
+        let j = tail[0].to_json();
+        assert_eq!(j.get("name").and_then(Value::as_str), Some("segment_roll"));
+        assert_eq!(j.get("fields").unwrap().get("n").and_then(Value::as_f64), Some(8.0));
+    }
+
+    #[test]
+    fn store_overflow_is_counted_exactly_in_the_snapshot() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        let k = 7;
+        for i in 0..(SPAN_CAPACITY + k) {
+            let h = crate::span!(i as i64, "kstreams", "tick");
+            finish_span(h, i as i64 * 1000);
+        }
+        assert_eq!(dropped_spans(), k as u64);
+        assert_eq!(crate::snapshot().counter("kobs.trace.spans_dropped"), Some(k as u64));
+        clear();
+        assert_eq!(crate::snapshot().counter("kobs.trace.spans_dropped"), None);
+    }
+
+    #[test]
     fn off_build_is_noop() {
         let _g = isolated();
         if crate::ENABLED {
@@ -676,6 +902,8 @@ mod tests {
         assert!(finished_spans().is_empty());
         assert!(critical_path_summary().is_none());
         assert!(recent_trees(8).is_empty());
+        crate::event!(0, "kstreams", "late", n = 1u64);
+        assert!(annotations(8).is_empty());
         assert!(!in_span());
     }
 }

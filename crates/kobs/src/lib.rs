@@ -1,22 +1,22 @@
 //! kobs — a zero-dependency observability substrate for the kstream-repro
 //! workspace.
 //!
-//! Three pieces:
+//! Two stores, and the formats they export through:
 //!
 //! - [`registry`]: named counters, gauges, and log-bucketed histograms
 //!   behind a process-global [`Registry`], exported as ordered text or
 //!   JSON [`Snapshot`]s. Metric names follow `<crate>.<subsystem>.<metric>`
-//!   with an `_ms` suffix for virtual-time histograms.
-//! - [`trace`]: a bounded ring of structured [`Event`]s with per-component
-//!   [`Level`]s, emitted via the [`event!`] / [`debug_event!`] macros.
-//!   `simtest` dumps the ring tail next to the repro command when an
-//!   oracle fails. Ring overflow is surfaced as the `kobs.trace.dropped`
-//!   counter.
-//! - [`ktrace`] / [`trace_export`]: deterministic hierarchical spans
-//!   ([`span!`] / [`child_span!`]) over the virtual clock, with a
-//!   critical-path analyzer (`kobs.critical_path.*`), a flight recorder of
-//!   the last completed span trees, and a `chrome://tracing` / Perfetto
-//!   JSON exporter.
+//!   with an `_ms` suffix for virtual-time histograms; each name means one
+//!   thing.
+//! - [`ktrace`]: deterministic hierarchical spans ([`span!`] /
+//!   [`child_span!`]) over the virtual clock, plus zero-duration
+//!   *annotations* ([`event!`]) under the thread's current span. On top of
+//!   the store sit a critical-path analyzer (`kobs.critical_path.*`), the
+//!   flight recorder (its tree view: the last completed span trees) and,
+//!   in [`trace_export`], a `chrome://tracing` / Perfetto JSON exporter.
+//!   `simtest` dumps the newest annotations next to the repro command
+//!   when an oracle fails. Span-store overflow is the
+//!   `kobs.trace.spans_dropped` counter in every [`snapshot`].
 //! - [`hist`] / [`json`]: the shared [`LatencyHistogram`] and a minimal
 //!   JSON writer/parser used by the exporters and the CI schema gate.
 //!
@@ -25,9 +25,10 @@
 //! for a fixed seed.
 //!
 //! Building with the `off` feature compiles every instrumentation entry
-//! point (`count`, `observe`, `emit`, ...) to a no-op; the data types stay
-//! functional so downstream code needs no `cfg`. Downstream crates forward
-//! it as `kobs-off`. [`ENABLED`] reports which way this build went.
+//! point (`count`, `observe`, spans, annotations, ...) to a no-op; the data
+//! types stay functional so downstream code needs no `cfg`. Downstream
+//! crates forward it as `kobs-off`. [`ENABLED`] reports which way this
+//! build went.
 
 #![deny(missing_docs)]
 
@@ -35,19 +36,16 @@ pub mod hist;
 pub mod json;
 pub mod ktrace;
 pub mod registry;
-pub mod trace;
 pub mod trace_export;
 
 pub use hist::{LatencyHistogram, ThroughputMeter};
-pub use ktrace::{CriticalPathSummary, Span, SpanHandle, SpanTree};
+pub use ktrace::{CriticalPathSummary, FieldValue, Span, SpanHandle, SpanTree};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, ENABLED};
-pub use trace::{Event, FieldValue, Level};
 
-/// Reset the global registry, trace ring, and span store (run isolation
-/// in harnesses; span ids restart so replays are byte-identical).
+/// Reset the global registry and the span store (run isolation in
+/// harnesses; span ids restart so replays are byte-identical).
 pub fn reset() {
     global().reset();
-    trace::clear();
     ktrace::clear();
 }
 
@@ -71,9 +69,18 @@ pub fn observe(name: &str, ms: i64) {
     global().observe(name, ms);
 }
 
-/// Convenience: snapshot the global registry.
+/// Snapshot the global registry, with the span store's eviction count
+/// folded in as the `kobs.trace.spans_dropped` counter (present once a
+/// span was dropped).
 pub fn snapshot() -> Snapshot {
-    global().snapshot()
+    const DROPPED: &str = "kobs.trace.spans_dropped";
+    let mut snap = global().snapshot();
+    let dropped = ktrace::dropped_spans();
+    if dropped > 0 {
+        let at = snap.counters.partition_point(|(name, _)| name.as_str() < DROPPED);
+        snap.counters.insert(at, (DROPPED.to_string(), dropped));
+    }
+    snap
 }
 
 #[cfg(test)]

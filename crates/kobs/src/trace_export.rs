@@ -65,14 +65,7 @@ pub fn chrome_json(spans: &[Span]) -> String {
         if let Some(p) = s.parent.filter(|p| ids.contains(p)) {
             args.push(("parent".to_string(), json::num(p as f64)));
         }
-        for (k, v) in &s.fields {
-            let jv = match v {
-                crate::trace::FieldValue::I64(n) => json::num(*n as f64),
-                crate::trace::FieldValue::U64(n) => json::num(*n as f64),
-                crate::trace::FieldValue::Str(t) => json::str(t.clone()),
-            };
-            args.push((k.to_string(), jv));
-        }
+        args.extend(s.fields.iter().map(|(k, v)| (k.to_string(), v.to_json())));
         events.push(json::obj(vec![
             ("name", json::str(s.name)),
             ("cat", json::str(s.track)),
@@ -167,7 +160,7 @@ pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::ktrace;
-    use crate::trace::FieldValue;
+    use crate::ktrace::FieldValue;
 
     fn span(id: u64, parent: Option<u64>, name: &'static str, start: i64, end: i64) -> Span {
         Span {
@@ -180,6 +173,7 @@ mod tests {
             start_us: start,
             end_us: end,
             fields: vec![("step", FieldValue::U64(4))],
+            annotation: false,
         }
     }
 

@@ -29,7 +29,7 @@ const MAX_DRAIN_ITERS: u64 = 5_000;
 /// of suppressed entries is still printed).
 const MAX_FAILURES: usize = 20;
 
-/// Trailing trace-event window attached to profiled or failing reports.
+/// Newest span-store annotations attached to profiled or failing reports.
 const TRACE_TAIL: usize = 32;
 
 /// Flight-recorder span trees rendered into a failing report (the ring
@@ -202,7 +202,7 @@ pub fn run(cfg: &SimConfig) -> SimReport {
     // Drain stale violations from earlier (non-simtest) activity in this
     // process so the invariant oracle only sees this run.
     let _ = klog::checks::take_violations();
-    // Same story for the kobs registry and trace ring: both are
+    // Same story for the kobs registry and span store: both are
     // process-global, so start every run from a clean slate to keep the
     // attached snapshot deterministic per seed.
     kobs::reset();
@@ -692,12 +692,12 @@ impl Engine {
             self.fail("injected failure (--inject-failure)".to_string());
         }
 
-        // Metrics ride along when profiling was requested; the trace tail
-        // additionally rides along on any oracle failure so the repro line
-        // comes with the events leading up to it.
+        // Metrics ride along when profiling was requested; the annotation
+        // tail additionally rides along on any oracle failure so the repro
+        // line comes with the events leading up to it.
         let obs = if self.cfg.obs_profile { Some(kobs::snapshot()) } else { None };
         let trace = if self.cfg.obs_profile || !self.failures.is_empty() {
-            kobs::trace::tail(TRACE_TAIL)
+            kobs::ktrace::annotations(TRACE_TAIL)
         } else {
             Vec::new()
         };

@@ -68,9 +68,10 @@ pub struct SimReport {
     /// kobs metrics snapshot; present when the run was observability
     /// profiled (`--profile` with no topology argument).
     pub obs: Option<kobs::Snapshot>,
-    /// Trailing trace-event window; populated when profiled or when an
-    /// oracle failed (so the repro line comes with its context).
-    pub trace: Vec<kobs::Event>,
+    /// The newest span-store annotations, in emission order; populated
+    /// when profiled or when an oracle failed (so the repro line comes with
+    /// its context).
+    pub trace: Vec<kobs::Span>,
     /// Commit-cycle critical-path breakdown (ktrace); present when the run
     /// was observability profiled and at least one commit cycle completed.
     pub critical_path: Option<kobs::CriticalPathSummary>,
@@ -154,7 +155,7 @@ impl SimReport {
         }
         if !self.trace.is_empty() {
             fields
-                .push(("trace", Value::Arr(self.trace.iter().map(kobs::Event::to_json).collect())));
+                .push(("trace", Value::Arr(self.trace.iter().map(kobs::Span::to_json).collect())));
         }
         if let Some(cp) = &self.critical_path {
             fields.push((

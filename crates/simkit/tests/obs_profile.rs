@@ -1,6 +1,6 @@
 //! Integration tests for the `--profile` observability surface of simtest:
-//! the attached metrics snapshot, the trailing trace window, and the JSON
-//! export the CI schema gate consumes.
+//! the attached metrics snapshot, the trailing annotation window, the JSON
+//! export the CI schema gate consumes, and the one-name-per-metric rule.
 
 use kobs::json::Value;
 use simkit::simtest::{run, SimConfig};
@@ -18,12 +18,13 @@ fn profiled_report_carries_metrics_and_trace() {
         assert!(obs.hist("kstreams.commit_cycle_ms").is_some(), "commit cycle:\n{report}");
         assert!(obs.gauge("kbroker.lso_lag").is_some(), "LSO lag gauge:\n{report}");
         assert!(obs.gauge("kbroker.lso_lag_peak").is_some());
-        assert!(obs.counter("kstreams.restore.records_replayed").is_some());
+        assert!(obs.counter("kstreams.restore_records").is_some());
 
         assert!(!report.trace.is_empty(), "profiled run attaches a trace tail");
         assert!(report.trace.len() <= 32, "trace tail is bounded");
+        assert!(report.trace.iter().all(|s| s.annotation), "the tail holds annotations only");
         assert!(
-            report.trace.windows(2).all(|w| w[0].seq < w[1].seq),
+            report.trace.windows(2).all(|w| w[0].id < w[1].id),
             "trace tail is in emission order"
         );
 
@@ -65,4 +66,44 @@ fn profiled_replay_is_byte_identical() {
     let first = format!("{}", run(&cfg));
     let second = format!("{}", run(&cfg));
     assert_eq!(first, second, "metrics and trace must replay byte-identically per seed");
+}
+
+/// Each exported metric name means one thing: no two names collide once
+/// `.` and `_` are treated alike (the old `kstreams.cache.hits` counter
+/// against the `kstreams.cache_hits` gauge), and none of the retired
+/// duplicate names is still written.
+#[test]
+fn exported_metric_names_are_unique_modulo_separators() {
+    let report = run(&SimConfig::new(7).with_cache(64).with_obs_profile());
+    report.assert_passed();
+    let obs = report.obs.as_ref().expect("profiled run attaches a snapshot");
+    if !kobs::ENABLED {
+        assert!(obs.is_empty());
+        return;
+    }
+    let names: Vec<&str> = obs
+        .counters
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .chain(obs.gauges.iter().map(|(n, _)| n.as_str()))
+        .chain(obs.hists.iter().map(|h| h.name.as_str()))
+        .collect();
+    let mut seen = std::collections::BTreeMap::new();
+    for name in &names {
+        if let Some(prev) = seen.insert(name.replace('.', "_"), *name) {
+            panic!("`{prev}` and `{name}` name the same metric");
+        }
+    }
+    for retired in [
+        "kstreams.cache.hits",
+        "kstreams.cache.misses",
+        "kstreams.cache.evictions",
+        "kstreams.late_drops",
+        "kstreams.commit_cycles",
+        "kstreams.scheduler.steals",
+        "kstreams.restore.records_replayed",
+    ] {
+        assert!(!names.contains(&retired), "retired duplicate `{retired}` is still exported");
+    }
+    assert!(obs.counter("kstreams.cache_hits").unwrap_or(0) > 0, "cached run hits:\n{report}");
 }

@@ -117,13 +117,14 @@ fn restore_counters_are_consistent_across_crash_and_restart() {
     assert_eq!(first_processed + m.records_processed, 8, "every input processed exactly once");
     app.close().unwrap();
 
-    // The global registry tells the same story: the replay counter sums the
-    // restores of both incarnations (0 + 5), and no processing gauge ever
-    // included replayed records.
+    // The global registry tells the same story as fleet totals: each
+    // instance publishes its counters' growth at every commit, so the
+    // replay counter sums both incarnations' restores (0 + 5) and the
+    // processing counter their processing (5 + 3), never a replayed record.
     if kobs::ENABLED {
         let snap = kobs::snapshot();
         assert_eq!(
-            snap.counter("kstreams.restore.records_replayed"),
+            snap.counter("kstreams.restore_records"),
             Some(changelog_len),
             "registry replay counter matches the changelog length"
         );
@@ -133,11 +134,76 @@ fn restore_counters_are_consistent_across_crash_and_restart() {
             "exactly one non-empty restore session"
         );
         assert_eq!(
-            snap.gauge("kstreams.records_processed"),
-            Some(3),
-            "last published processing gauge excludes replayed records"
+            snap.counter("kstreams.records_processed"),
+            Some(8),
+            "fleet processing counter excludes replayed records"
         );
-        assert_eq!(snap.gauge("kstreams.restore_records"), Some(changelog_len as i64));
+    }
+}
+
+/// Two EOS instances in one group: every registry `kstreams.<field>`
+/// counter equals the sum of the instances' own `metrics()` fields. A
+/// last-writer gauge would hold only one instance's value.
+#[test]
+fn registry_counters_are_fleet_totals_of_instance_metrics() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    kobs::reset();
+
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("events", TopicConfig::new(4)).unwrap();
+    cluster.create_topic("counts", TopicConfig::new(4)).unwrap();
+    let mut p = Producer::new(cluster.clone(), ProducerConfig::default());
+    for i in 0..40i64 {
+        p.send(
+            "events",
+            Some(format!("k{}", i % 10).to_bytes()),
+            Some(format!("e{i}").to_bytes()),
+            i,
+        )
+        .unwrap();
+    }
+    p.flush().unwrap();
+
+    let mut apps: Vec<KafkaStreamsApp> = (0..2)
+        .map(|i| {
+            KafkaStreamsApp::new(
+                cluster.clone(),
+                counting_topology(),
+                eos_config(),
+                format!("i{i}"),
+            )
+        })
+        .collect();
+    for app in &mut apps {
+        app.start().unwrap();
+    }
+    for _ in 0..30 {
+        for app in &mut apps {
+            app.step().unwrap();
+        }
+        clock.advance(10);
+    }
+    for app in &mut apps {
+        app.close().unwrap();
+    }
+    let per_instance: Vec<kstreams::StreamsMetrics> =
+        apps.iter().map(KafkaStreamsApp::metrics).collect();
+    let mut fleet = kstreams::StreamsMetrics::default();
+    for m in &per_instance {
+        fleet.merge(m);
+    }
+    assert_eq!(fleet.records_processed, 40, "every input processed once: {per_instance:?}");
+    assert!(per_instance.iter().all(|m| m.commits > 0), "both instances committed");
+
+    if kobs::ENABLED {
+        let snap = kobs::snapshot();
+        for (name, total) in fleet.counters() {
+            assert_eq!(snap.counter(name), Some(total), "{name}: {per_instance:?}");
+        }
+        assert!(fleet.changelog_appends > 0);
+        assert_eq!(snap.gauge("kstreams.records_processed"), None, "no mirrored gauge");
+        assert_eq!(snap.counter("kstreams.active_tasks"), None, "levels are not exported");
     }
 }
 
